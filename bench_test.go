@@ -8,7 +8,7 @@
 //	BenchmarkSchedulerSweep/* §6.5 violation exposure per model
 //	BenchmarkExecution/*      raw interpreter throughput per benchmark
 //	BenchmarkExecutionEngine/* fresh vs pooled machine allocs per execution
-//	BenchmarkSynthesizeCache/* execution caching on vs off (validation)
+//	BenchmarkSynthesizeCache/* synthesis with fence validation, caches hit
 //	BenchmarkChecker/*        SC / linearizability checker throughput
 //	BenchmarkSAT/*            repair-formula minimal-model extraction
 //	BenchmarkStaticSynthesis/* static fix (analysis + hitting set) per model
@@ -267,13 +267,11 @@ func BenchmarkExecutionEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalSAT measures cross-round solver persistence: the
-// same staged sequence of growing monotone formulas (shaped like a
-// synthesis run's per-round φ over an overlapping predicate vocabulary)
-// enumerated by one persistent sat.Incremental versus a fresh solver per
-// round. The minimal-model sets are bit-identical (see the differential
-// tests); the persistent solver keeps its learnt clauses, VSIDS
-// activity, and saved phases between rounds.
+// BenchmarkIncrementalSAT measures cross-round solver persistence: a
+// staged sequence of growing monotone formulas (shaped like a synthesis
+// run's per-round φ over an overlapping predicate vocabulary) enumerated
+// by one persistent sat.Incremental, which keeps its learnt clauses,
+// VSIDS activity, and saved phases between rounds.
 func BenchmarkIncrementalSAT(b *testing.B) {
 	const (
 		nvars  = 28
@@ -312,20 +310,12 @@ func BenchmarkIncrementalSAT(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fresh-per-round", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, clauses := range perRound {
-				sat.MinimalModelsBudget(nvars, clauses, budget)
-			}
-		}
-	})
 }
 
 // BenchmarkSpecAutomaton measures the compiled-spec sequentialization
-// search on realistic Chase-Lev histories: the automaton path (interned
-// states, table-lookup transitions, integer memo keys) versus the legacy
-// string-keyed dfs, each on a reused Checker as the engine uses them.
+// search on realistic Chase-Lev histories (interned states, table-lookup
+// transitions, integer memo keys) on a reused Checker, as the engine
+// uses it.
 func BenchmarkSpecAutomaton(b *testing.B) {
 	subject, err := progs.ByName("chase-lev")
 	if err != nil {
@@ -338,56 +328,39 @@ func BenchmarkSpecAutomaton(b *testing.B) {
 		ops := spec.RelaxStealAborts(spec.CompleteOps(res.History))
 		histories = append(histories, ops)
 	}
-	for _, disable := range []bool{false, true} {
-		name := "automaton"
-		if disable {
-			name = "legacy-dfs"
+	b.Run("automaton", func(b *testing.B) {
+		b.ReportAllocs()
+		var c spec.Checker
+		for i := 0; i < b.N; i++ {
+			c.Check(spec.SeqConsistency, histories[i%len(histories)], spec.NewDeque, false)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var c spec.Checker
-			c.DisableAutomaton = disable
-			for i := 0; i < b.N; i++ {
-				c.Check(spec.SeqConsistency, histories[i%len(histories)], spec.NewDeque, false)
-			}
-		})
-	}
+	})
 }
 
 // BenchmarkSynthesizeCache measures the cross-phase execution caching:
-// the same Chase-Lev PSO synthesis with fence validation (the phase the
-// fence-touch cache accelerates) with the caches enabled vs disabled.
-// The fence sets are identical either way — the caches are exact.
+// Chase-Lev PSO synthesis with fence validation (the phase the
+// fence-touch transfer accelerates), reporting cache hits per run.
 func BenchmarkSynthesizeCache(b *testing.B) {
 	subject, err := progs.ByName("chase-lev")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, nocache := range []bool{false, true} {
-		name := "cache=on"
-		if nocache {
-			name = "cache=off"
+	b.Run("cache=on", func(b *testing.B) {
+		b.ReportAllocs()
+		execs, hits := 0, 0
+		for i := 0; i < b.N; i++ {
+			cfg := benchCfg(subject, memmodel.PSO, spec.SeqConsistency, 1)
+			cfg.Workers = 1
+			res, err := core.Synthesize(subject.Program(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			execs += res.TotalExecutions
+			hits += res.CacheHits
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			execs, hits := 0, 0
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(subject, memmodel.PSO, spec.SeqConsistency, 1)
-				cfg.Workers = 1
-				cfg.NoExecCache = nocache
-				res, err := core.Synthesize(subject.Program(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				execs += res.TotalExecutions
-				hits += res.CacheHits
-			}
-			b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
-			if !nocache {
-				b.ReportMetric(float64(hits)/float64(b.N), "cachehits/op")
-			}
-		})
-	}
+		b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
+		b.ReportMetric(float64(hits)/float64(b.N), "cachehits/op")
+	})
 }
 
 // BenchmarkSynthesizePruned measures the static delay-set pruning on the
@@ -493,7 +466,12 @@ func BenchmarkSAT(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sat.MinimalModels(nvars, clauses)
+		inc := sat.NewIncremental()
+		inc.EnsureVars(nvars)
+		for _, c := range clauses {
+			inc.AddClause(c)
+		}
+		inc.MinimalModels(sat.Budget{}, nil)
 	}
 }
 

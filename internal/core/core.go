@@ -147,22 +147,6 @@ type Config struct {
 	// PruneFallbacks counter records it. Default off; results with the
 	// flag off are bit-identical to earlier versions.
 	StaticPrune bool
-	// NoExecCache disables the cross-phase execution caches (see
-	// execcache.go): the per-worker verdict memo, which judges each
-	// distinct history once, and the fence-touch outcome transfer, which
-	// lets the validation and redundancy trials skip executions provably
-	// unaffected by the dropped fences. Both caches are exact, so results
-	// are bit-identical with the flag on or off — the knob exists for
-	// measurement and as the determinism-test control.
-	NoExecCache bool
-	// FreshSolver disables the cross-round persistent SAT solver: each
-	// round's φ is solved on a brand-new Formula (and therefore a fresh
-	// CDCL solver), as earlier versions did. The minimal-model set of a
-	// monotone formula is unique and the solution order is a total sort,
-	// so results are bit-identical with the flag on or off — the knob
-	// exists for measurement and as the incremental-vs-fresh
-	// differential-test control.
-	FreshSolver bool
 	// Metrics, when non-nil, receives the run's hot-path instrumentation:
 	// execution/verdict/cache counters per worker shard, solver effort,
 	// fence lifecycle, and the step/wall-time histograms. Nil (the default)
@@ -420,9 +404,9 @@ type Result struct {
 	// CacheHits counts execution verdicts answered by the caches: verdict
 	// memo hits plus validation-trial executions whose outcome transferred
 	// from the baseline instead of re-running. CacheMisses counts verdicts
-	// computed afresh (and memoized). These are throughput diagnostics;
-	// every other Result field is bit-identical whether caching is on or
-	// off.
+	// computed afresh (and memoized). These are throughput diagnostics
+	// that may vary with Workers (each worker owns a memo); every other
+	// Result field is bit-identical for every worker count.
 	CacheHits   int
 	CacheMisses int
 	// Interrupted reports that the run stopped because Config.Interrupt
@@ -520,24 +504,6 @@ const (
 	// per round so coverage is visible.
 	verdictInconclusive
 )
-
-// judge classifies one execution against the configuration's specification.
-func judge(cfg *Config, res *interp.Result) verdict {
-	if res.StepLimitHit || res.TimedOut {
-		return verdictInconclusive
-	}
-	if res.Violation != nil {
-		return verdictViolation
-	}
-	ops := spec.CompleteOps(res.History)
-	if cfg.RelaxStealAborts {
-		ops = spec.RelaxStealAborts(ops)
-	}
-	if spec.Check(cfg.Criterion, ops, cfg.NewSpec, cfg.CheckGarbage) {
-		return verdictClean
-	}
-	return verdictViolation
-}
 
 // Synthesize runs Algorithm 1 on a clone of prog and returns the repaired
 // program together with the synthesis trace. The input program must be
@@ -658,15 +624,10 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 
 	// The repair formula is long-lived: each round resets φ to true via
 	// BeginRound while the owned SAT solver keeps its learnt clauses,
-	// activity, and predicate vocabulary warm across rounds. FreshSolver
-	// rebuilds the Formula per round instead (the differential control).
+	// activity, and predicate vocabulary warm across rounds.
 	formula := synth.NewFormula()
 	for round := startRound; round < cfg.MaxRounds; round++ {
-		if cfg.FreshSolver {
-			formula = synth.NewFormula() // φ := true on a fresh solver
-		} else {
-			formula.BeginRound() // φ := true, solver state retained
-		}
+		formula.BeginRound()
 		stats := Round{}
 		var delaySet map[staticanalysis.Pair]bool
 		if cfg.StaticPrune {
@@ -854,7 +815,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		solveSpan := cfg.Tracer.Begin(0, trace.SpanSolve, round+1)
 		solveStart := time.Now()
 		pprof.Do(ctx, pprof.Labels("dfence_phase", "solve"), func(context.Context) {
-			sols, truncated = formula.MinimalSolutionsStats(cfg.solverBudget(), &sst)
+			sols, truncated = formula.MinimalSolutions(cfg.solverBudget(), &sst)
 		})
 		solverWall := time.Since(solveStart)
 		solveSpan.End()
@@ -948,18 +909,8 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 	result.SynthesizedFences = len(result.Fences)
 	if cfg.ValidateFences && !cfg.EnforceWithCAS && result.Converged && len(result.Fences) > 0 {
 		validateSpan := cfg.Tracer.Begin(0, trace.SpanValidate, 0)
-		handled := false
-		if !cfg.NoExecCache {
-			var err error
-			handled, err = validateFencesCached(prog, &cfg, result, jcs)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !handled {
-			if err := validateFences(prog, &cfg, result, jcs); err != nil {
-				return nil, err
-			}
+		if err := validateFences(prog, &cfg, result, jcs); err != nil {
+			return nil, err
 		}
 		validateSpan.End()
 	}
@@ -995,55 +946,6 @@ func emitConverged(cfg *Config, result *Result) {
 		CacheMisses:      result.CacheMisses,
 		StaticallyRobust: result.StaticallyRobust,
 	})
-}
-
-// validateFences greedily removes fences whose absence no longer produces
-// violations, rebuilding the result program from the original plus the
-// surviving fences. Validation runs use a disjoint seed block so fences are
-// not kept merely because the synthesis schedules recur.
-func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCache) error {
-	budget := cfg.ValidateExecs // fill() defaulted this to 3 * ExecsPerRound
-	seedBase := cfg.Seed + 1_000_003
-	trial := func(fences []synth.InsertedFence) (bool, error) {
-		p := orig.Clone()
-		if _, err := synth.InsertFences(p, fences); err != nil {
-			return false, err
-		}
-		// One violation decides the trial, so the batch early-cancels the
-		// remaining workers as soon as any execution violates.
-		_, found := violationBatch(p, cfg, jcs, budget, true, func(i int) sched.Options {
-			return trialOpts(cfg, seedBase, i)
-		})
-		return !found, nil
-	}
-	kept := append([]synth.InsertedFence(nil), result.Fences...)
-	// Try dropping fences newest-first: later rounds react to rarer
-	// violations and are the likelier over-fit.
-	for i := len(kept) - 1; i >= 0; i-- {
-		dropped := kept[i]
-		candidate := append(append([]synth.InsertedFence(nil), kept[:i]...), kept[i+1:]...)
-		ok, err := trial(candidate)
-		if err != nil {
-			return err
-		}
-		if ok {
-			kept = candidate
-			result.Redundant++
-			cfg.mv.FencesRemoved.Inc(0)
-			telemetry.Emit(cfg.Sink, telemetry.FenceChange{
-				Action: "drop-redundant",
-				Fences: telemetry.FencesOf([]synth.InsertedFence{dropped}),
-			})
-		}
-	}
-	p := orig.Clone()
-	final, err := synth.InsertFences(p, kept)
-	if err != nil {
-		return err
-	}
-	result.Program = p
-	result.Fences = final
-	return nil
 }
 
 // describeViolation renders what a violating execution violated: the
@@ -1083,42 +985,7 @@ func FindRedundantFences(prog *ir.Program, cfg Config, execsPerFence int) ([]ir.
 	if execsPerFence <= 0 {
 		execsPerFence = 2 * cfg.ExecsPerRound
 	}
-	jcs := newJudgeCaches(&cfg)
-	verify := func(p *ir.Program) error {
-		if err := staticanalysis.Verify(p); err != nil {
-			return fmt.Errorf("core: program failed verification after fence removal: %w", err)
-		}
-		return nil
-	}
-	if !cfg.NoExecCache {
-		if redundant, handled, err := findRedundantCached(prog, &cfg, jcs, execsPerFence, verify); handled {
-			return redundant, err
-		}
-	}
-	clean := func(p *ir.Program) bool {
-		_, found := violationBatch(p, &cfg, jcs, execsPerFence, true, func(i int) sched.Options {
-			return trialOpts(&cfg, cfg.Seed, i)
-		})
-		return !found
-	}
-	if !clean(prog) {
-		return nil, fmt.Errorf("core: program violates its specification even with all fences present")
-	}
-	kept := prog.Fences()
-	var redundant []ir.Label
-	for i := len(kept) - 1; i >= 0; i-- {
-		// Try without fence i (and without those already found redundant).
-		trial := prog.Clone()
-		drop := append(append([]ir.Label(nil), redundant...), kept[i])
-		removeFences(trial, drop)
-		if err := staticanalysis.Verify(trial); err != nil {
-			return nil, fmt.Errorf("core: program failed verification after fence removal: %w", err)
-		}
-		if clean(trial) {
-			redundant = append(redundant, kept[i])
-		}
-	}
-	return redundant, nil
+	return findRedundant(prog, &cfg, newJudgeCaches(&cfg), execsPerFence)
 }
 
 // removeFences deletes the fence instructions with the given labels,
@@ -1180,9 +1047,9 @@ func branchesTo(f *ir.Func, l ir.Label) bool {
 // violate the specification — used to validate programs (e.g. checking
 // that Cilk's THE is not linearizable even under SC, §6.6) and by the
 // scheduler-effectiveness benchmarks.
-func CheckOnly(prog *ir.Program, cfg Config, n int) (violations int) {
+func CheckOnly(prog *ir.Program, cfg Config, n int) int {
 	cfg.fill()
-	violations, _ = violationBatch(prog, &cfg, newJudgeCaches(&cfg), n, false, func(i int) sched.Options {
+	return violationBatch(prog, &cfg, newJudgeCaches(&cfg), n, func(i int) sched.Options {
 		return sched.Options{
 			Seed:      cfg.Seed + int64(i),
 			FlushProb: cfg.FlushProb,
@@ -1192,5 +1059,4 @@ func CheckOnly(prog *ir.Program, cfg Config, n int) (violations int) {
 			Tracer:    cfg.Tracer,
 		}
 	})
-	return violations
 }

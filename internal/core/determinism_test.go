@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dfence/internal/interp"
@@ -11,15 +12,13 @@ import (
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/sched"
-	"dfence/internal/spec"
 )
 
-// The engine-determinism corpus tests: machine pooling (PR 4's compiled
-// dispatch + Reset reuse) and the execution caches are pure performance
-// mechanisms, so every observable result must be bit-identical to the
-// fresh-machine, cache-free paths — across the whole litmus and benchmark
-// corpus, under both memory models, and under -race (the CI race job runs
-// this package).
+// The engine-determinism corpus tests: machine pooling (compiled
+// dispatch + Reset reuse) must reproduce fresh one-shot runs exactly, and
+// full synthesis — with its execution caches and persistent solver — must
+// reproduce the golden digests (golden_test.go) at every worker count,
+// also under -race (the CI race job runs this package).
 
 // execKey summarizes one execution for bit-identity comparison.
 func execKey(res *interp.Result) string {
@@ -95,166 +94,61 @@ func resultKey(res *Result) string {
 	return s
 }
 
-// TestSynthesizeCacheAndWorkerDeterminism: full synthesis (with fence
-// validation) is bit-identical between the serial cache-free configuration
-// and the parallel cache-enabled one, for representative benchmarks under
-// both models.
+// goldenSubjects are the representative benchmarks the named
+// determinism tests below check against the golden file.
+var goldenSubjects = []string{"chase-lev", "cilk-the", "ms2-queue", "lifo-iwsq"}
+
+// subjectCell selects the synthesis cells of goldenSubjects under models.
+func subjectCell(models ...memmodel.Model) func(key string) bool {
+	return func(key string) bool {
+		for _, name := range goldenSubjects {
+			for _, m := range models {
+				if key == fmt.Sprintf("synth %s %v", name, m) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+}
+
+// TestSynthesizeCacheAndWorkerDeterminism: full synthesis with fence
+// validation, where both execution caches engage, reproduces the golden
+// digests at every worker count, and the caches actually see traffic.
 func TestSynthesizeCacheAndWorkerDeterminism(t *testing.T) {
-	subjects := []string{"chase-lev", "cilk-the", "ms2-queue", "lifo-iwsq"}
-	for _, name := range subjects {
-		b, err := progs.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, model := range []memmodel.Model{memmodel.TSO, memmodel.PSO} {
-			crit := spec.SeqConsistency
-			if b.SkipSeqCheck {
-				crit = spec.MemorySafety
-			}
-			base := Config{
-				Model:            model,
-				Criterion:        crit,
-				NewSpec:          b.NewSpec(),
-				CheckGarbage:     b.CheckGarbage,
-				RelaxStealAborts: b.RelaxStealAborts,
-				ExecsPerRound:    150,
-				MaxRounds:        5,
-				Seed:             7,
-				ValidateFences:   true,
-			}
-			var keys []string
-			for _, mode := range []struct {
-				workers int
-				nocache bool
-			}{{1, true}, {1, false}, {4, false}} {
-				cfg := base
-				cfg.Workers = mode.workers
-				cfg.NoExecCache = mode.nocache
-				res, err := Synthesize(b.Program(), cfg)
-				if err != nil {
-					t.Fatalf("%s/%v workers=%d nocache=%v: %v", name, model, mode.workers, mode.nocache, err)
-				}
-				if !mode.nocache && res.CacheHits+res.CacheMisses == 0 && res.TotalExecutions > 0 {
-					t.Errorf("%s/%v: cache-enabled run recorded no cache traffic", name, model)
-				}
-				keys = append(keys, resultKey(res))
-			}
-			for i := 1; i < len(keys); i++ {
-				if keys[i] != keys[0] {
-					t.Fatalf("%s/%v: configuration %d diverged\nbase: %s\ngot:  %s", name, model, i, keys[0], keys[i])
-				}
-			}
-		}
+	if n := checkGolden(t, subjectCell(memmodel.TSO, memmodel.PSO)); n != 2*len(goldenSubjects) {
+		t.Fatalf("checked %d cells, want %d", n, 2*len(goldenSubjects))
 	}
-}
-
-// TestIncrementalSolverMatchesFresh: the persistent cross-round SAT
-// solver is a pure performance mechanism — full synthesis must be
-// bit-identical between the persistent path (default) and the
-// fresh-solver-per-round path (FreshSolver), for representative corpus
-// subjects under all four memory models and at multiple worker counts.
-func TestIncrementalSolverMatchesFresh(t *testing.T) {
-	subjects := []string{"chase-lev", "cilk-the", "ms2-queue", "lifo-iwsq"}
-	models := []memmodel.Model{memmodel.SC, memmodel.TSO, memmodel.PSO, memmodel.RMO}
-	for _, name := range subjects {
-		b, err := progs.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, model := range models {
-			crit := spec.SeqConsistency
-			if b.SkipSeqCheck {
-				crit = spec.MemorySafety
-			}
-			// Reduced budgets and no validation pass: the solver
-			// differential lives in the per-round repair loop, and
-			// validation would triple the runtime without exercising
-			// any additional solver path. FlushProb is set explicitly
-			// (the model-recommended values) because a zero flush
-			// probability under RMO produces the pathological crawling
-			// schedules ExecTimeout exists for — see the Config docs.
-			fp := 0.5
-			if model == memmodel.TSO {
-				fp = 0.1
-			}
-			base := Config{
-				Model:            model,
-				Criterion:        crit,
-				NewSpec:          b.NewSpec(),
-				CheckGarbage:     b.CheckGarbage,
-				RelaxStealAborts: b.RelaxStealAborts,
-				ExecsPerRound:    80,
-				MaxRounds:        3,
-				FlushProb:        fp,
-				Seed:             11,
-				// Deterministic budget on scheduler-loop iterations. The RMO
-				// portfolio's load-starving phases used to crawl on ms2-queue
-				// for minutes per synthesis — deferral-loop spins make no
-				// machine steps, so MaxStepsPerExec never trips, and
-				// ExecTimeout is wall-clock-dependent, which a bit-identity
-				// test cannot tolerate. The budget cuts the spinners
-				// identically in every configuration (over-budget runs are
-				// judged inconclusive) while staying far above what any
-				// healthy execution in this corpus uses.
-				MaxItersPerExec: 200_000,
-			}
-			var keys []string
-			for _, mode := range []struct {
-				workers int
-				fresh   bool
-			}{{1, false}, {4, false}, {4, true}} {
-				cfg := base
-				cfg.Workers = mode.workers
-				cfg.FreshSolver = mode.fresh
-				res, err := Synthesize(b.Program(), cfg)
-				if err != nil {
-					t.Fatalf("%s/%v workers=%d fresh=%v: %v", name, model, mode.workers, mode.fresh, err)
-				}
-				keys = append(keys, resultKey(res))
-			}
-			for i := 1; i < len(keys); i++ {
-				if keys[i] != keys[0] {
-					t.Fatalf("%s/%v: solver mode %d diverged\nbase: %s\ngot:  %s", name, model, i, keys[0], keys[i])
-				}
-			}
-		}
-	}
-}
-
-// TestFindRedundantCacheDeterminism: the cached redundancy scan returns
-// the identical label set as the uncached scan on a program that carries
-// synthesized fences.
-func TestFindRedundantCacheDeterminism(t *testing.T) {
 	b, err := progs.ByName("chase-lev")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Model:         memmodel.PSO,
-		Criterion:     spec.SeqConsistency,
-		NewSpec:       b.NewSpec(),
-		ExecsPerRound: 150,
-		MaxRounds:     5,
-		Seed:          7,
-	}
-	res, err := Synthesize(b.Program(), cfg)
+	res, err := Synthesize(b.Program(), goldenConfig(b, memmodel.PSO))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Fences) == 0 {
-		t.Skip("no fences synthesized; redundancy scan is vacuous")
+	if res.CacheHits == 0 || res.CacheMisses == 0 {
+		t.Errorf("cache saw %d hits, %d misses; want both non-zero", res.CacheHits, res.CacheMisses)
 	}
-	var got [][]ir.Label
-	for _, nocache := range []bool{false, true} {
-		c := cfg
-		c.NoExecCache = nocache
-		labels, err := FindRedundantFences(res.Program, c, 150)
-		if err != nil {
-			t.Fatalf("nocache=%v: %v", nocache, err)
-		}
-		got = append(got, labels)
+}
+
+// TestIncrementalSolverMatchesFresh: the persistent cross-round SAT
+// solver reproduces, under all four memory models, the golden digests
+// pinned while a fresh-solver-per-round control still agreed with it.
+// The minimal-model set of a monotone formula is unique and the solution
+// order is a total sort, so no carried solver state may move a digest.
+func TestIncrementalSolverMatchesFresh(t *testing.T) {
+	if n := checkGolden(t, subjectCell(goldenModels...)); n != 4*len(goldenSubjects) {
+		t.Fatalf("checked %d cells, want %d", n, 4*len(goldenSubjects))
 	}
-	if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
-		t.Fatalf("redundancy scan diverged: cached=%v uncached=%v", got[0], got[1])
+}
+
+// TestFindRedundantCacheDeterminism: the redundancy scan, whose trials
+// transfer outcomes from the all-fences baseline, reproduces the golden
+// redundant sets — on chase-lev's synthesized fences and on a program
+// carrying more fences than the touched mask can watch.
+func TestFindRedundantCacheDeterminism(t *testing.T) {
+	if n := checkGolden(t, func(key string) bool { return strings.HasPrefix(key, "redundant ") }); n != 2 {
+		t.Fatalf("checked %d redundancy cells, want 2", n)
 	}
 }

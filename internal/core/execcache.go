@@ -6,39 +6,45 @@
 //     history, so each worker memoizes verdict-by-history. Round
 //     executions under the demonic scheduler produce heavily recurring
 //     histories, and the memo persists across rounds AND into the
-//     validation pass — the sequentialization DFS runs once per distinct
-//     history instead of once per execution.
+//     validation pass — the sequentialization search runs once per
+//     distinct history instead of once per execution.
 //
 //  2. The fence-touch outcome transfer: the validation and redundancy
-//     trials re-run the same seed block against programs differing only
-//     in which fences are present. An execution that never reaches a
-//     fence is bit-identical with or without it (same instruction
-//     sequence, same RNG draws, same history), so its verdict transfers
-//     to every candidate program whose dropped fences it never touched.
-//     Trials are compiled with interp.CompileWatched, which records per
-//     seed the bitmask of fences the execution reached; a trial then
-//     runs only the seeds whose outcome the candidate could actually
-//     change. The validation pass arms this baseline opportunistically:
-//     a failed drop early-stops exactly like the uncached pass (no
-//     baseline cost), while a successful drop necessarily ran its whole
-//     seed block clean — the same executions the uncached pass pays for —
-//     and those watched results become the baseline for every later
-//     trial. The redundancy scan seeds the baseline from its all-fences
-//     cleanliness check, which the uncached scan runs in full anyway.
+//     passes greedily drop one fence at a time and re-run the same seed
+//     block against programs differing only in which fences are present.
+//     An execution that never reaches a fence is bit-identical with or
+//     without it (same instruction sequence, same RNG draws, same
+//     history), so its verdict transfers to every candidate program whose
+//     dropped fences it never touched. Trials are compiled with
+//     interp.CompileWatched, which records per seed the bitmask of fences
+//     the execution reached; a trial then runs only the seeds whose
+//     outcome the candidate could actually change. A fence that cannot be
+//     watched — past the interp.MaxWatchedFences capacity of the mask, or
+//     lost to an insertion-site collision — counts as touched by every
+//     seed, so its trial runs the whole seed block. The validation pass
+//     arms the baseline opportunistically: a failed drop early-stops
+//     (no baseline cost), while a successful drop ran every must-run seed
+//     clean, and those watched results become the baseline for every
+//     later trial. The redundancy scan seeds the baseline from its
+//     all-fences cleanliness check.
 //
 // Both caches are exact — they skip recomputation, never approximate it —
-// so synthesis results are bit-identical with Config.NoExecCache on or
-// off (the determinism tests in determinism_test.go enforce this).
+// so synthesis results are those of running every seed of every trial;
+// the golden digests in testdata/golden_digests.txt, pinned when an
+// uncached control path still existed, hold them to that.
 package core
 
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 
 	"dfence/internal/interp"
 	"dfence/internal/ir"
 	"dfence/internal/sched"
 	"dfence/internal/spec"
+	"dfence/internal/staticanalysis"
 	"dfence/internal/synth"
 	"dfence/internal/telemetry"
 	"dfence/internal/trace"
@@ -46,8 +52,8 @@ import (
 
 // maxJudgeMemoEntries bounds each worker's verdict memo. At the cap the
 // memo stops inserting (lookups keep working), so a pathological workload
-// with unbounded distinct histories degrades to the uncached cost plus
-// one map probe instead of growing without bound.
+// with unbounded distinct histories degrades to one full check plus one
+// map probe per execution instead of growing without bound.
 const maxJudgeMemoEntries = 1 << 16
 
 // judgeCache is one worker's verdict memo. It is owned by the reduce
@@ -64,12 +70,8 @@ type judgeCache struct {
 	hits, misses int64
 }
 
-// newJudgeCaches returns one verdict memo per worker, or nil when the
-// config disables caching (judgeWorker falls back to plain judge).
+// newJudgeCaches returns one verdict memo per worker.
 func newJudgeCaches(cfg *Config) []judgeCache {
-	if cfg.NoExecCache {
-		return nil
-	}
 	return make([]judgeCache, cfg.Workers)
 }
 
@@ -81,18 +83,25 @@ func tallyJudgeCaches(jcs []judgeCache, result *Result) {
 	}
 }
 
-// judgeWorker is judge with the calling worker's verdict memo. The memo
-// only covers the history check: step-limited, timed-out, and
-// interpreter-detected violations are classified directly from the
-// result, exactly as judge does.
-func judgeWorker(cfg *Config, jcs []judgeCache, worker int, res *interp.Result) verdict {
+// judge classifies one execution against the configuration's
+// specification on a throwaway checker — for the witness re-run, which
+// happens outside the batch workers and their memos.
+func judge(cfg *Config, res *interp.Result) verdict {
 	if res.StepLimitHit || res.TimedOut {
 		return verdictInconclusive
 	}
 	if res.Violation != nil {
 		return verdictViolation
 	}
-	if jcs == nil || worker >= len(jcs) {
+	return judgeMiss(cfg, &judgeCache{}, res)
+}
+
+// judgeWorker is judge with the calling worker's verdict memo. The memo
+// only covers the history check: step-limited, timed-out, and
+// interpreter-detected violations are classified directly from the
+// result.
+func judgeWorker(cfg *Config, jcs []judgeCache, worker int, res *interp.Result) verdict {
+	if res.StepLimitHit || res.TimedOut || res.Violation != nil {
 		return judge(cfg, res)
 	}
 	jc := &jcs[worker]
@@ -115,8 +124,7 @@ func judgeWorker(cfg *Config, jcs []judgeCache, worker int, res *interp.Result) 
 	return v
 }
 
-// judgeMiss is judge's history check on the worker's reusable Checker:
-// identical verdicts, none of the per-call allocations.
+// judgeMiss runs the history check on jc's reusable Checker.
 func judgeMiss(cfg *Config, jc *judgeCache, res *interp.Result) verdict {
 	ops := jc.ck.CompleteOps(res.History)
 	if cfg.RelaxStealAborts {
@@ -177,7 +185,7 @@ func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, seeds []int
 			if err != nil {
 				// The touched mask of a panicked execution is unknowable, so
 				// report every fence touched: the seed is re-run in every
-				// trial, exactly as the uncached pass would.
+				// trial.
 				cfg.mv.Panics.Inc(worker)
 				return trialOut{ran: true, mask: ^uint64(0)}, false
 			}
@@ -192,8 +200,8 @@ func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, seeds []int
 // baseEntry is the baseline record of one trial seed: whether the
 // current fence set's execution at that seed is known (and clean — only
 // clean runs are recorded), and the canonical mask (bit = fence's index
-// in the original fence list) of fences it reached. Unknown seeds are
-// must-run for every trial.
+// in the original fence list) of watched fences it reached. Unknown seeds
+// are must-run for every trial.
 type baseEntry struct {
 	known   bool
 	touched uint64
@@ -202,17 +210,23 @@ type baseEntry struct {
 // fenceTrialCache drives the outcome transfer for one greedy
 // fence-dropping pass. Fences are identified by their index in the
 // original list (the canonical bit), which stays stable as the kept set
-// shrinks.
+// shrinks; only canonical bits below interp.MaxWatchedFences are watched.
 type fenceTrialCache struct {
 	cfg     *Config
 	jcs     []judgeCache
 	optsFor func(i int) sched.Options
-	budget  int
 	base    []baseEntry
 	// skipped counts executions whose verdict transferred from the
 	// baseline instead of running.
 	skipped int
 }
+
+func newFenceTrialCache(cfg *Config, jcs []judgeCache, budget int, optsFor func(i int) sched.Options) *fenceTrialCache {
+	return &fenceTrialCache{cfg: cfg, jcs: jcs, optsFor: optsFor, base: make([]baseEntry, budget)}
+}
+
+// watchable reports whether canonical fence bit fits the touched mask.
+func watchable(bit int) bool { return bit < interp.MaxWatchedFences }
 
 // canonicalize maps a watch-order touched mask to canonical fence bits.
 func canonicalize(mask uint64, bits []int) uint64 {
@@ -225,77 +239,88 @@ func canonicalize(mask uint64, bits []int) uint64 {
 	return out
 }
 
-// seedBaseline records the full-seed-block baseline from a violation-free
-// pass: out[k] is seed k's run against the current fence set, bits[w] the
-// canonical bit of watch index w.
-func (fc *fenceTrialCache) seedBaseline(out []trialOut, bits []int) {
-	fc.base = make([]baseEntry, len(out))
-	for k, o := range out {
-		fc.base[k] = baseEntry{known: true, touched: canonicalize(o.mask, bits)}
-	}
-}
-
-// mustRun returns the seeds whose verdict the candidate (current set
-// minus the fences in dropMask) could change: seeds with no baseline
-// record yet, and clean runs that reached a dropped fence. Every other
-// seed's execution is bit-identical under the candidate, so its clean
-// verdict transfers.
-func (fc *fenceTrialCache) mustRun(dropMask uint64) []int {
+// mustRun returns the seeds whose verdict dropping canonical fence bit
+// could change: seeds with no baseline record yet, and clean runs that
+// reached the fence. Every other seed's execution is bit-identical under
+// the candidate, so its clean verdict transfers. An unwatchable fence
+// counts as touched by every seed.
+func (fc *fenceTrialCache) mustRun(bit int) []int {
 	var seeds []int
-	for k := range fc.base {
-		if !fc.base[k].known || fc.base[k].touched&dropMask != 0 {
+	for k, b := range fc.base {
+		if !watchable(bit) || !b.known || b.touched&(1<<uint(bit)) != 0 {
 			seeds = append(seeds, k)
 		}
 	}
-	fc.skipped += fc.budget - len(seeds)
 	return seeds
 }
 
-// trial runs the candidate compile over the must-run seeds and reports
-// whether any violated. A violated trial leaves the baseline untouched
+// everySeed returns the whole seed block.
+func (fc *fenceTrialCache) everySeed() []int {
+	seeds := make([]int, len(fc.base))
+	for k := range seeds {
+		seeds[k] = k
+	}
+	return seeds
+}
+
+// trialCompile is a candidate program compiled for one trial: bits[w] is
+// the canonical bit of watch index w. watched is false when the watch
+// mapping is incomplete (an insertion-site collision skipped a fence), in
+// which case the trial runs the whole seed block and records no baseline.
+type trialCompile struct {
+	c       *interp.Compiled
+	bits    []int
+	watched bool
+}
+
+// trial reports whether dropping canonical fence bit from the current set
+// exposes a violation. compile builds the candidate and is called only
+// when some seed must run. A violated trial leaves the baseline untouched
 // (its partial results describe a program that is not becoming the kept
-// set). A clean trial ran every must-run seed, the drop succeeds, and
-// the candidate becomes the new kept set — so the trial's own watched
-// results refresh the baseline entries of the seeds that ran, while the
+// set). A clean trial ran every must-run seed, the drop succeeds, and the
+// candidate becomes the new kept set — so the trial's own watched results
+// refresh the baseline entries of the seeds that ran, while the
 // transferred seeds' entries stay valid verbatim (their executions are
 // bit-identical under the new set and their masks cannot contain the
-// dropped bit). This is what arms the cache without a dedicated
-// baseline pass in validation.
-func (fc *fenceTrialCache) trial(c *interp.Compiled, seeds []int, bits []int) bool {
+// dropped bit). This is what arms the cache without a dedicated baseline
+// pass in validation.
+func (fc *fenceTrialCache) trial(bit int, compile func() (trialCompile, error)) (violated bool, err error) {
+	seeds := fc.mustRun(bit)
 	if len(seeds) == 0 {
-		return false
+		fc.skipped += len(fc.base)
+		return false, nil
 	}
-	out := watchedBatch(c, fc.cfg, fc.jcs, seeds, fc.optsFor, true)
+	tc, err := compile()
+	if err != nil {
+		return false, err
+	}
+	if !tc.watched {
+		seeds = fc.everySeed()
+	}
+	fc.skipped += len(fc.base) - len(seeds)
+	out := watchedBatch(tc.c, fc.cfg, fc.jcs, seeds, fc.optsFor, true)
 	for _, o := range out {
 		if o.ran && o.violated {
-			return true
+			return true, nil
 		}
 	}
 	for k, o := range out {
-		fc.base[seeds[k]] = baseEntry{known: true, touched: canonicalize(o.mask, bits)}
+		fc.base[seeds[k]] = baseEntry{known: tc.watched, touched: canonicalize(o.mask, tc.bits)}
 	}
-	return false
+	return false, nil
 }
 
-// validateFencesCached is validateFences with the outcome transfer. It
-// reports handled == false (leaving result untouched) when the fence set
-// cannot be watched — more fences than interp.MaxWatchedFences, or an
-// insertion-site collision — in which case the caller falls back to the
-// uncached pass. The kept/dropped decisions are bit-identical to the
-// uncached pass: each trial's any-violation verdict is computed over the
-// same seed block, with provably unchanged executions answered from the
-// baseline instead of re-run.
-func validateFencesCached(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCache) (handled bool, err error) {
-	if len(result.Fences) > interp.MaxWatchedFences {
-		return false, nil
-	}
+// validateFences greedily removes synthesized fences whose absence no
+// longer produces violations, rebuilding the result program from the
+// original plus the surviving fences. Validation runs use a disjoint seed
+// block so fences are not kept merely because the synthesis schedules
+// recur; each trial's any-violation verdict covers that whole block, with
+// provably unchanged executions answered from the baseline.
+func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCache) error {
 	seedBase := cfg.Seed + 1_000_003
-	fc := &fenceTrialCache{
-		cfg: cfg, jcs: jcs, budget: cfg.ValidateExecs,
-		optsFor: func(i int) sched.Options {
-			return trialOpts(cfg, seedBase, i)
-		},
-	}
+	fc := newFenceTrialCache(cfg, jcs, cfg.ValidateExecs, func(i int) sched.Options {
+		return trialOpts(cfg, seedBase, i)
+	})
 	// kept[j] pairs each surviving fence with its canonical bit (index in
 	// the original Fences list).
 	type keptFence struct {
@@ -306,58 +331,42 @@ func validateFencesCached(orig *ir.Program, cfg *Config, result *Result, jcs []j
 	for i, f := range result.Fences {
 		kept[i] = keptFence{f: f, bit: i}
 	}
-	// compile rebuilds orig + the given fences and watches each inserted
-	// fence; bits[w] is the canonical bit of watch index w. A skipped
-	// insertion (site collision) breaks the watch mapping and is reported
-	// as unhandled.
-	compile := func(ks []keptFence) (*interp.Compiled, []int, error) {
-		p := orig.Clone()
+	fences := func(ks []keptFence) []synth.InsertedFence {
 		ins := make([]synth.InsertedFence, len(ks))
-		bits := make([]int, len(ks))
 		for j, k := range ks {
 			ins[j] = k.f
-			bits[j] = k.bit
 		}
-		final, ierr := synth.InsertFences(p, ins)
-		if ierr != nil {
-			return nil, nil, ierr
-		}
-		if len(final) != len(ks) {
-			return nil, nil, nil // collision: caller falls back
-		}
-		watch := make([]ir.Label, len(final))
-		for j, f := range final {
-			watch[j] = f.Label
-		}
-		c, cerr := interp.CompileWatched(p, watch)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		return c, bits, nil
+		return ins
 	}
 
-	// Compile the full set once, purely to detect unwatchable fence sets
-	// (insertion-site collisions) before mutating the result: no executions
-	// run against it. The baseline arms itself from the first clean trial.
-	if baseC, _, cerr := compile(kept); cerr != nil || baseC == nil {
-		return false, cerr
-	}
-	fc.base = make([]baseEntry, fc.budget)
-
+	// Try dropping fences newest-first: later rounds react to rarer
+	// violations and are the likelier over-fit.
 	for i := len(kept) - 1; i >= 0; i-- {
 		candidate := append(append([]keptFence(nil), kept[:i]...), kept[i+1:]...)
-		seeds := fc.mustRun(1 << uint(kept[i].bit))
-		if len(seeds) > 0 {
-			c, bits, cerr := compile(candidate)
-			if cerr != nil {
-				return true, cerr
+		violated, err := fc.trial(kept[i].bit, func() (trialCompile, error) {
+			p := orig.Clone()
+			final, err := synth.InsertFences(p, fences(candidate))
+			if err != nil {
+				return trialCompile{}, err
 			}
-			if c == nil {
-				return true, errInsertCollision
+			tc := trialCompile{watched: len(final) == len(candidate)}
+			var watch []ir.Label
+			if tc.watched {
+				for j, f := range final {
+					if watchable(candidate[j].bit) {
+						watch = append(watch, f.Label)
+						tc.bits = append(tc.bits, candidate[j].bit)
+					}
+				}
 			}
-			if fc.trial(c, seeds, bits) {
-				continue // a violation needs this fence: keep it
-			}
+			tc.c, err = interp.CompileWatched(p, watch)
+			return tc, err
+		})
+		if err != nil {
+			return err
+		}
+		if violated {
+			continue // a violation needs this fence: keep it
 		}
 		dropped := kept[i].f
 		kept = candidate
@@ -370,110 +379,74 @@ func validateFencesCached(orig *ir.Program, cfg *Config, result *Result, jcs []j
 	}
 
 	p := orig.Clone()
-	ins := make([]synth.InsertedFence, len(kept))
-	for j, k := range kept {
-		ins[j] = k.f
-	}
-	final, err := synth.InsertFences(p, ins)
+	final, err := synth.InsertFences(p, fences(kept))
 	if err != nil {
-		return true, err
+		return err
 	}
 	result.Program = p
 	result.Fences = final
 	result.CacheHits += fc.skipped
 	cfg.mv.CacheHits.Add(0, int64(fc.skipped))
-	return true, nil
+	return nil
 }
 
-// findRedundantCached is FindRedundantFences' greedy loop with the
-// outcome transfer. It reports handled == false when the program's fence
-// count exceeds interp.MaxWatchedFences (the caller falls back to the
-// uncached loop). The redundant set is bit-identical to the uncached
-// loop's: trials run over the same seed block with provably unchanged
-// executions answered from the baseline.
-func findRedundantCached(prog *ir.Program, cfg *Config, jcs []judgeCache, execsPerFence int, verify func(*ir.Program) error) (redundant []ir.Label, handled bool, err error) {
+// findRedundant is FindRedundantFences' greedy loop: fences are tried
+// newest-first, each trial runs over the same seed block, and provably
+// unchanged executions are answered from the baseline.
+func findRedundant(prog *ir.Program, cfg *Config, jcs []judgeCache, execsPerFence int) ([]ir.Label, error) {
 	kept := prog.Fences()
-	if len(kept) > interp.MaxWatchedFences {
-		return nil, false, nil
-	}
-	fc := &fenceTrialCache{
-		cfg: cfg, jcs: jcs, budget: execsPerFence,
-		optsFor: func(i int) sched.Options {
-			return trialOpts(cfg, cfg.Seed, i)
-		},
-	}
-	baseC, cerr := interp.CompileWatched(prog, kept)
-	if cerr != nil {
-		return nil, false, nil // e.g. a watch label is not a fence: fall back
-	}
-	bits := make([]int, len(kept))
-	for i := range bits {
-		bits[i] = i
-	}
-	allSeeds := make([]int, execsPerFence)
-	for i := range allSeeds {
-		allSeeds[i] = i
-	}
-	// The all-fences baseline doubles as the initial cleanliness check.
-	out := watchedBatch(baseC, cfg, jcs, allSeeds, fc.optsFor, false)
-	for _, o := range out {
-		if o.violated {
-			return nil, true, errBaselineViolates
-		}
-	}
-	fc.seedBaseline(out, bits)
-
+	fc := newFenceTrialCache(cfg, jcs, execsPerFence, func(i int) sched.Options {
+		return trialOpts(cfg, cfg.Seed, i)
+	})
+	// watchSurvivors returns the watchable fences of kept other than skip
+	// and those already redundant, with their canonical bits.
 	isRedundant := make([]bool, len(kept))
-	for i := len(kept) - 1; i >= 0; i-- {
-		trial := prog.Clone()
-		drop := append(append([]ir.Label(nil), redundant...), kept[i])
-		removeFences(trial, drop)
-		if verr := verify(trial); verr != nil {
-			return nil, true, verr
-		}
-		seeds := fc.mustRun(1 << uint(i))
-		if len(seeds) > 0 {
-			// Watch the fences surviving this candidate; labels are stable
-			// across Clone, and removeFences leaves other fences' labels
-			// untouched.
-			var watch []ir.Label
-			var wbits []int
-			for j, l := range kept {
-				if j != i && !isRedundant[j] {
-					watch = append(watch, l)
-					wbits = append(wbits, j)
-				}
-			}
-			c, werr := interp.CompileWatched(trial, watch)
-			if werr != nil {
-				return nil, true, werr
-			}
-			if fc.trial(c, seeds, wbits) {
-				continue // a violation needs this fence
+	watchSurvivors := func(skip int) (watch []ir.Label, bits []int) {
+		for j, l := range kept {
+			if j != skip && !isRedundant[j] && watchable(j) {
+				watch = append(watch, l)
+				bits = append(bits, j)
 			}
 		}
-		redundant = append(redundant, kept[i])
-		isRedundant[i] = true
+		return watch, bits
 	}
-	return redundant, true, nil
-}
 
-// errBaselineViolates mirrors the uncached loop's precondition error.
-var errBaselineViolates = errBaselineViolatesT{}
+	// The all-fences baseline doubles as the initial cleanliness check.
+	watch, bits := watchSurvivors(-1)
+	baseC, err := interp.CompileWatched(prog, watch)
+	if err != nil {
+		return nil, err
+	}
+	out := watchedBatch(baseC, cfg, jcs, fc.everySeed(), fc.optsFor, false)
+	for k, o := range out {
+		if o.violated {
+			return nil, errors.New("core: program violates its specification even with all fences present")
+		}
+		fc.base[k] = baseEntry{known: true, touched: canonicalize(o.mask, bits)}
+	}
 
-type errBaselineViolatesT struct{}
-
-func (errBaselineViolatesT) Error() string {
-	return "core: program violates its specification even with all fences present"
-}
-
-// errInsertCollision reports a fence-insertion site collision appearing
-// mid-pass after the initial compile succeeded — dropping a fence cannot
-// create one, so this is a logic error, not an input condition.
-var errInsertCollision = errInsertCollisionT{}
-
-type errInsertCollisionT struct{}
-
-func (errInsertCollisionT) Error() string {
-	return "core: fence insertion collided mid-validation (watch mapping lost)"
+	var redundant []ir.Label
+	for i := len(kept) - 1; i >= 0; i-- {
+		// Try without fence i (and without those already found redundant).
+		trial := prog.Clone()
+		removeFences(trial, append(append([]ir.Label(nil), redundant...), kept[i]))
+		if err := staticanalysis.Verify(trial); err != nil {
+			return nil, fmt.Errorf("core: program failed verification after fence removal: %w", err)
+		}
+		violated, err := fc.trial(i, func() (trialCompile, error) {
+			// Labels are stable across Clone, and removeFences leaves other
+			// fences' labels untouched.
+			watch, bits := watchSurvivors(i)
+			c, err := interp.CompileWatched(trial, watch)
+			return trialCompile{c: c, bits: bits, watched: true}, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if !violated {
+			redundant = append(redundant, kept[i])
+			isRedundant[i] = true
+		}
+	}
+	return redundant, nil
 }

@@ -134,13 +134,12 @@ func roundOpts(cfg *Config, round, i int) sched.Options {
 }
 
 // trialOpts builds the scheduler options of validation and redundancy
-// trial executions. The cached and uncached trial implementations both
-// call it (the exec cache keys trials on seed index, so their option
-// streams must be bit-identical), and it applies the same scheduler
-// portfolio as roundOpts on top of the trial flush-probability sweep: a
-// missing fence's violation rate peaks at model- and shape-dependent
-// scheduler settings (paper Fig. 5), so trying only the synthesis
-// setting under-detects.
+// trial executions. The fence-touch transfer keys trials on seed index,
+// so every trial of one pass must see the same option stream. It applies
+// the same scheduler portfolio as roundOpts on top of the trial
+// flush-probability sweep: a missing fence's violation rate peaks at
+// model- and shape-dependent scheduler settings (paper Fig. 5), so trying
+// only the synthesis setting under-detects.
 func trialOpts(cfg *Config, seedBase int64, i int) sched.Options {
 	probs := [...]float64{0.1, 0.3, cfg.FlushProb}
 	return portfolioPhase(cfg, sched.Options{
@@ -203,14 +202,10 @@ func runRound(ctx context.Context, work *ir.Program, cfg *Config, jcs []judgeCac
 }
 
 // violationBatch runs n executions of prog (options supplied per index)
-// and counts violations. With stopEarly, the first violation found cancels
-// the outstanding executions — used by the validation and redundancy
-// trials, where any single violation decides the answer; the count is then
-// a lower bound, but the any-violation verdict is deterministic for every
-// worker count. Without stopEarly all n executions run and the count is
-// exact and deterministic. Panicked and inconclusive executions count as
-// non-violating here: the trials only ask "did any run expose a bug".
-func violationBatch(prog *ir.Program, cfg *Config, jcs []judgeCache, n int, stopEarly bool, optsFor func(i int) sched.Options) (violations int, found bool) {
+// and counts violations; the count is exact and deterministic for every
+// worker count. Panicked and inconclusive executions count as
+// non-violating.
+func violationBatch(prog *ir.Program, cfg *Config, jcs []judgeCache, n int, optsFor func(i int) sched.Options) (violations int) {
 	slots := sched.RunBatch(context.Background(), prog, cfg.Model, n, cfg.Workers, nil, optsFor,
 		func(i, worker int, _ interp.Observer, res *interp.Result, err *sched.ExecError) (bool, bool) {
 			cfg.mv.Executions.Inc(worker)
@@ -223,12 +218,12 @@ func violationBatch(prog *ir.Program, cfg *Config, jcs []judgeCache, n int, stop
 				cfg.mv.Violations.Inc(worker)
 				cfg.Tracer.Instant(worker+1, trace.InstantViolation, 0, 0)
 			}
-			return v, v && stopEarly
+			return v, false
 		})
 	for _, v := range slots {
 		if v {
 			violations++
 		}
 	}
-	return violations, violations > 0
+	return violations
 }

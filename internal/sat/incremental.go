@@ -6,6 +6,42 @@ import (
 	"time"
 )
 
+// Budget bounds minimal-model enumeration. The zero value means unlimited
+// (the paper's behaviour: enumerate every minimal model). When a bound
+// trips, enumeration degrades gracefully: the models found so far are
+// returned (sorted as usual) with truncated=true, so callers can proceed
+// with the best repairs discovered instead of hanging on a pathological φ.
+type Budget struct {
+	// MaxModels stops enumeration after this many distinct minimal models
+	// (<= 0: unlimited).
+	MaxModels int
+	// Timeout bounds the enumeration's wall-clock time (<= 0: unlimited).
+	// Granularity is per model found: the check runs between solver calls,
+	// so a single very hard Solve can overrun it.
+	Timeout time.Duration
+}
+
+func (b Budget) unlimited() bool { return b.MaxModels <= 0 && b.Timeout <= 0 }
+
+// Stats reports one enumeration's solver effort, for telemetry. All
+// counters are per-enumeration deltas, even though the enumeration runs on
+// a persistent solver.
+type Stats struct {
+	// Models is the number of distinct minimal models found.
+	Models int
+	// Conflicts is the CDCL conflict count across the enumeration's
+	// Solve calls.
+	Conflicts int64
+	// Decisions is the number of branching decisions.
+	Decisions int64
+	// Propagations is the number of literals unit-propagated.
+	Propagations int64
+	// Restarts is the number of search restarts.
+	Restarts int64
+	// Clauses is the number of input clauses (blocking clauses excluded).
+	Clauses int
+}
+
 // Incremental enumerates the minimal models of a *growing* sequence of
 // monotone positive CNF rounds over one persistent CDCL solver. Each
 // round's clauses are added under a fresh guard variable; enumeration
@@ -21,9 +57,9 @@ import (
 // The minimal-model *set* of a monotone formula is unique, and the final
 // sort is a total order, so a complete enumeration returns bit-identical
 // output no matter what solver state was carried in — the property the
-// incremental-vs-fresh differential tests pin. A truncated enumeration
-// (Budget) remains a sound but search-order-dependent prefix, exactly as
-// before.
+// tests pin against a brute-force enumerator and a new solver per round.
+// A truncated enumeration (Budget) is a sound but search-order-dependent
+// prefix.
 //
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
@@ -106,9 +142,30 @@ func (inc *Incremental) ensureGuard() {
 func (inc *Incremental) NumClauses() int { return len(inc.clauses) }
 
 // MinimalModels enumerates the minimal models of the current round's
-// formula under the budget; semantics and output order are identical to
-// MinimalModelsStats. st (ignored when nil) receives the solver effort of
-// this call only (counter deltas, not lifetime totals).
+// formula. Every clause is positive, so models are upward closed and the
+// interesting solutions are the minimal sets of variables set to true.
+// This is precisely the shape of DFENCE's repair formula φ — a
+// conjunction, over violating executions, of disjunctions of ordering
+// predicates — and this method implements the paper's §5.2 loop: "we call
+// MiniSAT repeatedly to find out all solutions (when we find a solution,
+// we adjust the formula to exclude that solution), and then we select the
+// minimal ones."
+//
+// Each found model is first shrunk greedily to an irredundant model (try
+// dropping each true variable in descending order; monotonicity makes the
+// check a simple clause-coverage test), then blocked with the clause
+// ¬(∧ its true vars), which eliminates that model and all its supersets.
+// Every minimal model is eventually produced: a minimal model is never a
+// strict superset of another model, so blocking cannot hide it.
+//
+// Each model is a sorted variable set, and the models are sorted by
+// (size, lexicographic). When the budget trips before the enumeration is
+// exhausted, the models found so far are returned with truncated=true;
+// each is still irredundant (the shrink runs per model), so a truncated
+// answer is a sound — merely possibly incomplete — repair set. The
+// MaxModels cutoff is deterministic; the Timeout cutoff is wall-clock and
+// therefore machine-dependent. st (ignored when nil) receives the solver
+// effort of this call only (counter deltas, not lifetime totals).
 func (inc *Incremental) MinimalModels(budget Budget, st *Stats) (models [][]int, truncated bool) {
 	inc.ensureGuard()
 	baseConfl := inc.s.Conflicts()
@@ -180,8 +237,7 @@ func (inc *Incremental) MinimalModels(budget Budget, st *Stats) (models [][]int,
 
 // shrink greedily reduces the solver's current model to an irredundant
 // model of the round's (monotone) clauses, dropping variables in
-// descending order — the same deterministic order the map-based shrink
-// used, on flat scratch instead of maps.
+// descending order.
 func (inc *Incremental) shrink() []int {
 	cur := inc.cur
 	for v := 1; v <= inc.nvars; v++ {
@@ -226,8 +282,7 @@ func coversPositive(clauses [][]Lit, cur []bool) bool {
 
 // modelSet deduplicates variable-set models with integer keys: models are
 // stored in a flat arena and probed by FNV-1a hash with exact collision
-// checks — the replacement for the old fmtKey/map[string]bool dedup,
-// allocation-free at steady state.
+// checks, allocation-free at steady state.
 type modelSet struct {
 	buckets map[uint64][]int32
 	arena   []int32

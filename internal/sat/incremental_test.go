@@ -28,9 +28,9 @@ func randMonotone(rng *rand.Rand, nvars, nclauses, w int) [][]Lit {
 }
 
 // TestIncrementalMatchesFreshAcrossRounds is the solver-persistence
-// differential: a single Incremental carried across a staged sequence of
-// growing rounds must enumerate, in every round, exactly the minimal
-// models a fresh per-round solver finds — bit-identical sets in
+// check: a single Incremental carried across a staged sequence of rounds
+// must enumerate, in every round, exactly the minimal models brute force
+// finds and a new per-round Incremental finds — identical sets in
 // identical order, regardless of the learnt clauses, activity, and saved
 // phases the persistent solver accumulated in earlier rounds.
 func TestIncrementalMatchesFreshAcrossRounds(t *testing.T) {
@@ -48,15 +48,16 @@ func TestIncrementalMatchesFreshAcrossRounds(t *testing.T) {
 			for _, c := range clauses {
 				inc.AddClause(c)
 			}
-			var pst, fst Stats
-			persistent, ptr := inc.MinimalModels(Budget{}, &pst)
-			fresh, ftr := MinimalModelsStats(nvars, clauses, Budget{}, &fst)
-			if fmt.Sprint(persistent) != fmt.Sprint(fresh) || ptr != ftr {
-				t.Fatalf("trial %d round %d: persistent solver diverged\npersistent: %v (trunc=%v)\nfresh:      %v (trunc=%v)",
-					trial, r, persistent, ptr, fresh, ftr)
+			var st Stats
+			persistent, truncated := inc.MinimalModels(Budget{}, &st)
+			fresh, _ := minimalModels(nvars, clauses, Budget{})
+			brute := bruteMinimalModels(nvars, clauses)
+			if fmt.Sprint(persistent) != fmt.Sprint(brute) || fmt.Sprint(fresh) != fmt.Sprint(brute) || truncated {
+				t.Fatalf("trial %d round %d: enumerations diverged\npersistent: %v (trunc=%v)\nfresh:      %v\nbrute:      %v",
+					trial, r, persistent, truncated, fresh, brute)
 			}
-			if pst.Models != len(persistent) || fst.Models != len(fresh) {
-				t.Fatalf("trial %d round %d: stats model count mismatch", trial, r)
+			if st.Models != len(persistent) || st.Clauses != len(clauses) {
+				t.Fatalf("trial %d round %d: stats %+v for %d models of %d clauses", trial, r, st, len(persistent), len(clauses))
 			}
 		}
 	}

@@ -15,24 +15,24 @@ func indepClauses(n int) (nvars int, clauses [][]Lit) {
 	return 2 * n, clauses
 }
 
-func TestMinimalModelsBudgetUnlimitedMatches(t *testing.T) {
+func TestBudgetUnlimitedMatchesBruteForce(t *testing.T) {
 	nvars, clauses := indepClauses(4) // 16 minimal models
-	full := MinimalModels(nvars, clauses)
-	got, truncated := MinimalModelsBudget(nvars, clauses, Budget{})
+	full := bruteMinimalModels(nvars, clauses)
+	got, truncated := minimalModels(nvars, clauses, Budget{})
 	if truncated {
 		t.Fatal("unlimited budget reported truncation")
 	}
 	if !reflect.DeepEqual(full, got) {
-		t.Fatalf("budgeted(∞) diverges from MinimalModels:\n%v\nvs\n%v", got, full)
+		t.Fatalf("budgeted(∞) diverges from brute force:\n%v\nvs\n%v", got, full)
 	}
 	if len(full) != 16 {
 		t.Fatalf("expected 16 minimal models, got %d", len(full))
 	}
 }
 
-func TestMinimalModelsBudgetMaxModels(t *testing.T) {
+func TestBudgetMaxModels(t *testing.T) {
 	nvars, clauses := indepClauses(6) // 64 minimal models
-	got, truncated := MinimalModelsBudget(nvars, clauses, Budget{MaxModels: 5})
+	got, truncated := minimalModels(nvars, clauses, Budget{MaxModels: 5})
 	if !truncated {
 		t.Fatal("cap of 5 over 64 models did not report truncation")
 	}
@@ -50,22 +50,22 @@ func TestMinimalModelsBudgetMaxModels(t *testing.T) {
 		for _, v := range m {
 			asn[v] = true
 		}
-		if !satisfiesPositive(clauses, asn) {
+		if !EvalClauses(clauses, asn) {
 			t.Fatalf("truncated model %v does not satisfy the formula", m)
 		}
 	}
 	// Determinism: the MaxModels cutoff is solver-order based, not timing.
-	again, _ := MinimalModelsBudget(nvars, clauses, Budget{MaxModels: 5})
+	again, _ := minimalModels(nvars, clauses, Budget{MaxModels: 5})
 	if !reflect.DeepEqual(got, again) {
 		t.Fatal("MaxModels truncation is nondeterministic")
 	}
 }
 
-func TestMinimalModelsBudgetTimeout(t *testing.T) {
+func TestBudgetTimeout(t *testing.T) {
 	nvars, clauses := indepClauses(9) // 512 minimal models
 	// An already-expired timeout must still yield at least one model
 	// (the check runs after each model is recorded).
-	got, truncated := MinimalModelsBudget(nvars, clauses, Budget{Timeout: time.Nanosecond})
+	got, truncated := minimalModels(nvars, clauses, Budget{Timeout: time.Nanosecond})
 	if !truncated {
 		t.Fatal("nanosecond timeout over 512 models did not truncate")
 	}
@@ -74,9 +74,9 @@ func TestMinimalModelsBudgetTimeout(t *testing.T) {
 	}
 }
 
-func TestMinimalModelsBudgetGenerousCapNotTruncated(t *testing.T) {
+func TestBudgetGenerousCapNotTruncated(t *testing.T) {
 	nvars, clauses := indepClauses(3) // 8 minimal models
-	got, truncated := MinimalModelsBudget(nvars, clauses, Budget{MaxModels: 100})
+	got, truncated := minimalModels(nvars, clauses, Budget{MaxModels: 100})
 	if truncated {
 		t.Fatal("cap above the model count reported truncation")
 	}

@@ -2,7 +2,9 @@ package sat
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -234,92 +236,83 @@ func TestIncrementalSolving(t *testing.T) {
 
 // --- minimal models ---
 
-// bruteMinimalModels computes minimal models of a positive CNF by brute
-// force.
+// minimalModels enumerates the minimal models of a positive CNF on a new
+// Incremental under the budget.
+func minimalModels(nvars int, clauses [][]Lit, budget Budget) ([][]int, bool) {
+	inc := NewIncremental()
+	inc.EnsureVars(nvars)
+	for _, c := range clauses {
+		inc.AddClause(c)
+	}
+	return inc.MinimalModels(budget, nil)
+}
+
+// bruteMinimalModels computes the minimal models of a positive CNF by
+// brute force over every assignment, sorted like MinimalModels: by size,
+// then lexicographically. A model of a monotone formula is minimal iff
+// no single true variable can be dropped.
 func bruteMinimalModels(nvars int, clauses [][]Lit) [][]int {
-	var models [][]int
-	for mask := 0; mask < 1<<nvars; mask++ {
-		m := make(map[int]bool, nvars)
-		for v := 1; v <= nvars; v++ {
-			m[v] = mask&(1<<(v-1)) != 0
+	masks := make([]uint32, len(clauses))
+	for i, c := range clauses {
+		for _, l := range c {
+			masks[i] |= 1 << uint(l-1)
 		}
-		if !EvalClauses(clauses, m) {
+	}
+	sat := func(m uint32) bool {
+		for _, c := range masks {
+			if m&c == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	var out [][]int
+	for m := uint32(0); m < 1<<uint(nvars); m++ {
+		if !sat(m) {
 			continue
 		}
-		var set []int
-		for v := 1; v <= nvars; v++ {
-			if m[v] {
-				set = append(set, v)
-			}
-		}
-		models = append(models, set)
-	}
-	// Keep only minimal ones.
-	var min [][]int
-	for i, a := range models {
 		minimal := true
-		for j, b := range models {
-			if i != j && subset(b, a) && len(b) < len(a) {
+		for v := 0; v < nvars && minimal; v++ {
+			if m&(1<<uint(v)) != 0 && sat(m&^(1<<uint(v))) {
 				minimal = false
-				break
 			}
 		}
-		if minimal {
-			min = append(min, a)
+		if !minimal {
+			continue
 		}
-	}
-	return min
-}
-
-func subset(a, b []int) bool {
-	set := make(map[int]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
-	for _, x := range a {
-		if !set[x] {
-			return false
+		set := []int{}
+		for v := 0; v < nvars; v++ {
+			if m&(1<<uint(v)) != 0 {
+				set = append(set, v+1)
+			}
 		}
+		out = append(out, set)
 	}
-	return true
-}
-
-func setsEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
 		return false
-	}
-	key := func(s []int) string {
-		return fmtKey(s)
-	}
-	m := map[string]bool{}
-	for _, s := range a {
-		m[key(s)] = true
-	}
-	for _, s := range b {
-		if !m[key(s)] {
-			return false
-		}
-	}
-	return true
+	})
+	return out
 }
 
 func TestMinimalModelsSimple(t *testing.T) {
 	// (1|2) & (2|3): minimal models {2}, {1,3}
-	clauses := [][]Lit{{1, 2}, {2, 3}}
-	got := MinimalModels(3, clauses)
-	want := [][]int{{2}, {1, 3}}
-	if !setsEqual(got, want) {
+	got, _ := minimalModels(3, [][]Lit{{1, 2}, {2, 3}}, Budget{})
+	if want := [][]int{{2}, {1, 3}}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("MinimalModels = %v, want %v", got, want)
-	}
-	// Minimum (smallest) models: just {2}.
-	minimum := MinimumModels(3, clauses)
-	if len(minimum) != 1 || len(minimum[0]) != 1 || minimum[0][0] != 2 {
-		t.Fatalf("MinimumModels = %v, want [[2]]", minimum)
 	}
 }
 
 func TestMinimalModelsEmptyFormula(t *testing.T) {
-	got := MinimalModels(3, nil)
+	got, _ := minimalModels(3, nil, Budget{})
 	if len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("empty formula should have the empty minimal model, got %v", got)
 	}
@@ -327,7 +320,7 @@ func TestMinimalModelsEmptyFormula(t *testing.T) {
 
 func TestMinimalModelsUnsatIsEmpty(t *testing.T) {
 	// A positive formula is never unsat unless it has an empty clause.
-	got := MinimalModels(2, [][]Lit{{}})
+	got, _ := minimalModels(2, [][]Lit{{}}, Budget{})
 	if len(got) != 0 {
 		t.Fatalf("formula with empty clause has models: %v", got)
 	}
@@ -347,9 +340,8 @@ func TestQuickMinimalModelsMatchBruteForce(t *testing.T) {
 			}
 			clauses[i] = c
 		}
-		got := MinimalModels(nvars, clauses)
-		want := bruteMinimalModels(nvars, clauses)
-		return setsEqual(got, want)
+		got, _ := minimalModels(nvars, clauses, Budget{})
+		return fmt.Sprint(got) == fmt.Sprint(bruteMinimalModels(nvars, clauses))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -358,17 +350,10 @@ func TestQuickMinimalModelsMatchBruteForce(t *testing.T) {
 
 func TestMinimalModelsDeterministic(t *testing.T) {
 	clauses := [][]Lit{{3, 1}, {2, 1}, {3, 2}}
-	a := MinimalModels(3, clauses)
-	b := MinimalModels(3, clauses)
-	if !setsEqual(a, b) || len(a) != len(b) {
-		t.Fatal("nondeterministic result")
-	}
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("ordering differs between runs")
-			}
-		}
+	a, _ := minimalModels(3, clauses, Budget{})
+	b, _ := minimalModels(3, clauses, Budget{})
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("nondeterministic result: %v vs %v", a, b)
 	}
 }
 

@@ -143,8 +143,10 @@ type Options struct {
 }
 
 // budgetCheckEvery is how many scheduler iterations pass between wall-clock
-// and context checks; each iteration advances at least one machine step, so
-// budget overruns are bounded by ~1024 steps. The check also runs once at
+// and context checks, so a budget overrun is bounded by ~1024 iterations —
+// not machine steps: a deferral spin (a pick that neither executes,
+// flushes, nor resolves) advances no step at all, and the load-starving
+// portfolio phases can spin for long stretches. The check also runs once at
 // iteration 0, so an already-expired budget (or context) cuts even
 // executions far shorter than the check interval.
 const budgetCheckEvery = 1024

@@ -258,7 +258,18 @@ func (s *Server) Submit(spec JobSpec) (job *Job, coalesced bool, err error) {
 		}
 	}
 	now := time.Now()
-	if r, ok := s.sp.loadMemo(key); ok {
+	r, ok := s.sp.loadMemo(key)
+	if !ok {
+		// A finishing job publishes Done before its memo entry is written;
+		// answer from its in-memory result rather than run it again.
+		for _, ej := range s.jobs {
+			if ej.MemoKey == key && ej.State == StateDone && ej.Result != nil {
+				r, ok = ej.Result, true
+				break
+			}
+		}
+	}
+	if ok {
 		j := &Job{
 			ID: s.newID(), Spec: spec, State: StateDone,
 			MemoKey: key, FromMemo: true, Result: r,

@@ -166,6 +166,9 @@ func TestJobTraceRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, job.ID, StateDone)
+	// The attempt writes its trace on the way out, after publishing Done;
+	// draining waits for the worker to return.
+	drain(t, s)
 
 	data, err := os.ReadFile(s.TracePath(job.ID))
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 // The sequentialization search spends its time asking two questions per
 // node: "have I failed from this (progress, spec state) before?" and
 // "does this operation apply in this state, and what state results?".
-// The string-memo dfs in check.go answers both by re-encoding the spec
-// state into a byte key at every node and by clone+Apply on every branch.
+// Answering them directly would mean re-encoding the spec state into a
+// byte key at every node and a clone+Apply on every branch.
 //
 // The automaton below compiles the answers instead: reachable spec
 // states are interned once into dense int32 ids (the canonical clone is
@@ -18,7 +18,9 @@ import (
 // (state id, op id) transition is computed by clone+Apply exactly once
 // and then served from a flat map. The DFS then walks integer ids, and
 // its memo key is a comparable struct of (mixed-radix progress index,
-// state id) — no per-node string allocation at all.
+// state id) — no per-node string allocation at all, except for histories
+// whose progress vector needs more than one 62-bit word (see
+// compileProgress).
 //
 // The automaton persists across checks on a reused Checker: state
 // identity and transitions are history-independent facts about the
@@ -26,9 +28,9 @@ import (
 // over the same data structure amortizes every Apply. It composes with
 // the verdict-by-history cache upstream: that cache removes repeated
 // *histories*, this one removes repeated *spec work* across distinct
-// histories. Verdicts are identical to the legacy path (differentially
-// tested): interning maps equal-key states to one id exactly as the
-// string memo treated them as one entry.
+// histories. Interning maps equal-key states to one id, so the memo
+// treats states with equal canonical keys as one node; verdicts are
+// tested against a brute-force enumeration of every interleaving.
 //
 // Capacity is bounded generationally: when the tables outgrow their caps
 // the automaton is discarded between checks (never mid-search, which
@@ -153,33 +155,69 @@ func (a *automaton) step(c *Checker, sid, oid int32) (next int32, ok bool) {
 }
 
 // autoKey memoizes one failed search node: the mixed-radix encoding of
-// the per-thread progress vector plus the interned spec-state id.
+// the per-thread progress vector plus the interned spec-state id. When
+// the progress vector needs more than one 62-bit word, prog is 0 and
+// words is the interned id of the packed words instead.
 type autoKey struct {
 	prog  uint64
+	words int32
 	state int32
 }
 
-// compileProgress fills c.strides with the mixed-radix strides of the
-// current queue partition (stride[i] = Π_{j<i} (len(queue_j)+1)), so a
-// progress vector packs into one uint64. Reports false on overflow —
-// histories that long fall back to the string-keyed dfs.
-func (c *Checker) compileProgress() bool {
+// compileProgress lays out the current queue partition's progress vector
+// as mixed-radix numbers: queue i's progress is a digit of radix
+// len(queue_i)+1 with stride strides[i]. Queues fill one 62-bit word
+// while the product of radixes fits, then start a new word at stride 1,
+// so histories that fork many threads keep an exact memo key.
+func (c *Checker) compileProgress() {
 	c.strides = c.strides[:0]
+	c.wide = false
 	total := uint64(1)
 	for i := range c.queues {
-		c.strides = append(c.strides, total)
 		n := uint64(len(c.queues[i])) + 1
 		if total > (1<<62)/n {
-			return false
+			total, c.wide = 1, true
 		}
+		c.strides = append(c.strides, total)
 		total *= n
 	}
-	return true
+	if c.wide {
+		if c.wideIDs == nil {
+			c.wideIDs = make(map[string]int32)
+		} else {
+			clear(c.wideIDs) // ids are per-check, like the memo they key
+		}
+	}
 }
 
-// dfsAuto is dfs over the compiled automaton: same search, same memo
-// semantics, but states are dense ids, successor states come from the
-// transition table, and the memo key is a comparable struct.
+// wideKey is the memo key of the current progress vector and state id
+// when the progress spans several words. Every queue but the first has
+// stride 1 exactly when it starts a new word (radixes are at least 2).
+// The packed words go into the automaton's key scratch, which is free
+// between transition lookups.
+func (c *Checker) wideKey(sid int32) autoKey {
+	b := c.aut.keyBuf[:0]
+	var w uint64
+	for i, n := range c.idx {
+		if i > 0 && c.strides[i] == 1 {
+			b = binary.LittleEndian.AppendUint64(b, w)
+			w = 0
+		}
+		w += uint64(n) * c.strides[i]
+	}
+	b = binary.LittleEndian.AppendUint64(b, w)
+	c.aut.keyBuf = b
+	id, ok := c.wideIDs[string(b)]
+	if !ok {
+		id = int32(len(c.wideIDs))
+		c.wideIDs[string(b)] = id
+	}
+	return autoKey{words: id, state: sid}
+}
+
+// dfsAuto searches for a sequentialization from the current progress
+// vector in spec state sid: states are dense ids, successor states come
+// from the transition table, and failed nodes are memoized.
 func (c *Checker) dfsAuto(sid int32) bool {
 	done := true
 	var prog uint64
@@ -193,6 +231,9 @@ func (c *Checker) dfsAuto(sid int32) bool {
 		return true
 	}
 	mk := autoKey{prog: prog, state: sid}
+	if c.wide {
+		mk = c.wideKey(sid)
+	}
 	if c.imemo[mk] {
 		return false // known dead end
 	}

@@ -18,23 +18,17 @@ import (
 // IsLinearizable / Check functions, which simply run on a throwaway
 // Checker.
 type Checker struct {
-	// DisableAutomaton forces the legacy string-keyed dfs instead of the
-	// compiled-automaton search (see automaton.go). Verdicts are
-	// identical either way — the knob exists for differential tests and
-	// benchmarks.
-	DisableAutomaton bool
-
 	queues   [][]Op
 	idx      []int
-	memo     map[string]bool // legacy path: failed (progress, state) keys
-	keyBuf   []byte
 	free     []Sequential // dead states recycled by clone/recycle
 	realTime bool
 
-	// automaton path (automaton.go)
+	// the compiled-automaton search (automaton.go)
 	aut     automaton
 	imemo   map[autoKey]bool // failed (packed progress, state id) pairs
-	strides []uint64         // mixed-radix strides of the queue partition
+	strides []uint64         // mixed-radix strides within each progress word
+	wide    bool             // progress needs more than one word
+	wideIDs map[string]int32 // interned packed progress words
 	oidbuf  []int32          // interned op ids, flat, parallel to qbuf
 	oqueues [][]int32        // per-thread views into oidbuf, parallel to queues
 
@@ -94,8 +88,9 @@ func (c *Checker) CompleteOps(events []interp.Event) []Op {
 }
 
 // RelaxStealAborts is RelaxStealAborts with the checker's reused output
-// buffer; same semantics (partners are scanned in the unmodified input).
-// The returned slice is valid until the next RelaxStealAborts call.
+// buffer. Partners are scanned in the unmodified input, so two mutually
+// overlapping empty steals both relax. The returned slice is valid until
+// the next RelaxStealAborts call.
 func (c *Checker) RelaxStealAborts(ops []Op) []Op {
 	out := append(c.relaxBuf[:0], ops...)
 	c.relaxBuf = out
@@ -139,7 +134,7 @@ func (c *Checker) Check(crit Criterion, ops []Op, newSpec func() Sequential, che
 
 // check partitions ops per thread (a stable counting partition into the
 // reused qbuf — the alloc-free equivalent of PerThread) and runs the
-// memoized sequentialization DFS.
+// memoized sequentialization search over the compiled automaton.
 func (c *Checker) check(ops []Op, newSpec func() Sequential, realTime bool) bool {
 	maxTid := -1
 	for i := range ops {
@@ -182,14 +177,7 @@ func (c *Checker) check(ops []Op, newSpec func() Sequential, realTime bool) bool
 	}
 	c.realTime = realTime
 	init := newSpec()
-	if c.DisableAutomaton || !c.compileProgress() {
-		if c.memo == nil {
-			c.memo = make(map[string]bool)
-		} else {
-			clear(c.memo) // buckets are retained: the next search reuses them
-		}
-		return c.dfs(init)
-	}
+	c.compileProgress()
 	c.aut.ensure(reflect.TypeOf(init))
 	// Intern each queue's ops once; the DFS then only touches ids.
 	c.oidbuf = c.oidbuf[:0]

@@ -8,8 +8,8 @@ package staticanalysis
 // the choice of fence kinds is a weighted hitting-set problem over the
 // per-model fence cost table (memmodel.Model.FenceCost). Subset-minimal
 // hitting sets are enumerated through the same SAT core the dynamic loop
-// uses (sat.MinimalModels on a monotone positive CNF), and the cheapest
-// one wins — which is not always the smallest: under RMO, a ld-ld plus a
+// uses (one round of sat.Incremental over a monotone positive CNF), and
+// the cheapest one wins — which is not always the smallest: under RMO, a ld-ld plus a
 // st-st fence (cost 2+2) beats one full fence (cost 8) when a location
 // has both load- and store-class delays.
 //
@@ -173,7 +173,12 @@ func Fix(prog *ir.Program, model memmodel.Model) (*FixResult, error) {
 	}
 	fr.BaselineCost = len(ls) * model.FenceCost(ir.FenceFull)
 
-	models, truncated := sat.MinimalModelsStats(len(vars), clauses, fixSolverBudget, &fr.SolverStats)
+	inc := sat.NewIncremental()
+	inc.EnsureVars(len(vars))
+	for _, cl := range clauses {
+		inc.AddClause(cl)
+	}
+	models, truncated := inc.MinimalModels(fixSolverBudget, &fr.SolverStats)
 	fr.Truncated = truncated
 
 	// Pick the cheapest hitting set; the enumeration order (size, then

@@ -115,8 +115,8 @@ func (c *Collector) Disjunction() []Predicate {
 // solver retains its learnt clauses, VSIDS activity, and saved phases,
 // together with the predicate-to-variable vocabulary — so a long-lived
 // Formula reused across rounds solves each round's φ without rebuilding
-// CDCL state from scratch. A throwaway Formula behaves exactly like the
-// pre-incremental implementation (one round, fresh solver).
+// CDCL state from scratch. The minimal-model set of each round is unique,
+// so carried solver state never changes the solutions.
 type Formula struct {
 	vars   map[Predicate]int // predicate -> SAT variable (persists across rounds)
 	byVar  []Predicate       // 1-based: variable -> predicate
@@ -201,29 +201,18 @@ func (f *Formula) AddExecution(d []Predicate) error {
 	return nil
 }
 
-// MinimalSolutions returns all minimal sets of predicates satisfying φ.
-// They are ordered by (size, descending total support, lexicographic),
-// where a predicate's support is the number of violating executions whose
-// disjunction mentioned it — among equally small repairs, prefer the one
-// backed by the most evidence. The first entry is the assignment
-// Algorithm 2 enforces.
-func (f *Formula) MinimalSolutions() [][]Predicate {
-	out, _ := f.MinimalSolutionsBudget(sat.Budget{})
-	return out
-}
-
-// MinimalSolutionsBudget is MinimalSolutions under a solver enumeration
-// budget (see sat.Budget). truncated reports that the budget tripped and
-// the returned solutions may be incomplete — the synthesis loop records
-// this as Result.SolverTruncated and proceeds with the best repairs found.
-func (f *Formula) MinimalSolutionsBudget(budget sat.Budget) (solutions [][]Predicate, truncated bool) {
-	return f.MinimalSolutionsStats(budget, nil)
-}
-
-// MinimalSolutionsStats is MinimalSolutionsBudget additionally reporting
-// the enumeration's solver effort into st (ignored when nil) — the
-// telemetry seam. Solutions are identical to MinimalSolutionsBudget's.
-func (f *Formula) MinimalSolutionsStats(budget sat.Budget, st *sat.Stats) (solutions [][]Predicate, truncated bool) {
+// MinimalSolutions returns the minimal sets of predicates satisfying φ,
+// enumerated under the solver budget (see sat.Budget; the zero Budget
+// enumerates all of them). They are ordered by (size, descending total
+// support, lexicographic), where a predicate's support is the number of
+// violating executions whose disjunction mentioned it — among equally
+// small repairs, prefer the one backed by the most evidence. The first
+// entry is the assignment Algorithm 2 enforces. truncated reports that
+// the budget tripped and the solutions may be incomplete — the synthesis
+// loop records this as Result.SolverTruncated and proceeds with the best
+// repairs found. st (ignored when nil) receives the enumeration's solver
+// effort.
+func (f *Formula) MinimalSolutions(budget sat.Budget, st *sat.Stats) (solutions [][]Predicate, truncated bool) {
 	if f.Empty() {
 		return nil, false
 	}

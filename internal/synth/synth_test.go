@@ -6,6 +6,7 @@ import (
 	"dfence/internal/interp"
 	"dfence/internal/ir"
 	"dfence/internal/memmodel"
+	"dfence/internal/sat"
 )
 
 func TestCollectorPSOAllAccessKinds(t *testing.T) {
@@ -62,7 +63,7 @@ func TestFormulaMinimalSolutions(t *testing.T) {
 	if err := f.AddExecution([]Predicate{p34, p56}); err != nil {
 		t.Fatal(err)
 	}
-	sols := f.MinimalSolutions()
+	sols, _ := f.MinimalSolutions(sat.Budget{}, nil)
 	if len(sols) != 2 {
 		t.Fatalf("solutions = %v, want 2", sols)
 	}
@@ -380,7 +381,7 @@ func TestMinimalSolutionsSupportRanking(t *testing.T) {
 	if err := f.AddExecution([]Predicate{p, {ir.Label(900), ir.Label(901)}}); err != nil {
 		t.Fatal(err)
 	}
-	sols := f.MinimalSolutions()
+	sols, _ := f.MinimalSolutions(sat.Budget{}, nil)
 	if len(sols) == 0 {
 		t.Fatal("no solutions")
 	}
