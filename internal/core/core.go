@@ -101,11 +101,13 @@ type Config struct {
 	// leave it zero when bit-identical results across runs matter.
 	ExecTimeout time.Duration
 	// MaxItersPerExec bounds each execution's scheduler-loop iterations
-	// (0 = none) — the deterministic analogue of ExecTimeout. The
-	// load-starving portfolio phases can spin in deferral loops that make
-	// no machine steps, so MaxStepsPerExec never trips; this budget counts
-	// every loop iteration and cuts such executions identically on every
-	// machine (they are judged Inconclusive, like a step-limit hit).
+	// (0 = none) — a safety net, and the deterministic analogue of
+	// ExecTimeout. Deferral spins make no machine steps, so
+	// MaxStepsPerExec cannot bound them; the scheduler's vow lifetime
+	// already ends the portfolio's spins, and this budget counts every
+	// loop iteration so that any remaining runaway schedule is cut
+	// identically on every machine (judged Inconclusive, like a
+	// step-limit hit).
 	MaxItersPerExec int
 	// RoundTimeout bounds each round's execution batch (0 = none).
 	// Executions still in flight when it expires stop and count
