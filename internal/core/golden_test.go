@@ -67,8 +67,8 @@ func goldenConfig(b *progs.Benchmark, model memmodel.Model) Config {
 		MaxRounds:        5,
 		Seed:             7,
 		ValidateFences:   true,
-		// Deterministic cut for the RMO load-starving phases' deferral
-		// spins, far above what any healthy execution in the corpus uses.
+		// Deterministic safety net, far above what any execution in the
+		// corpus uses.
 		MaxItersPerExec: 200_000,
 	}
 }
