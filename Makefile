@@ -5,10 +5,14 @@
 #   make race    test suite under the race detector — exercises the
 #                parallel execution engine's worker pool
 #   make vet     static checks
-#   make lint    cmd/modelcheck (exhaustive switches over memmodel.Model
-#                and ir.FenceKind; stdlib-only, always runs), then
-#                staticcheck, if installed (CI installs it; locally it is
-#                skipped with a notice when absent)
+#   make lint    gofmt (fails if any tracked .go file outside testdata/
+#                is unformatted), cmd/modelcheck (exhaustive switches over
+#                memmodel.Model and ir.FenceKind; stdlib-only, always
+#                runs), then staticcheck, if installed (CI installs it;
+#                locally it is skipped with a notice when absent)
+#   make bench-check  vet and test the benchmark harness module under
+#                bench/ (its own go.mod, so the root `go test ./...` never
+#                builds it) — catches API breaks the harness depends on
 #   make bench   one pass over every benchmark (smoke; use BENCHTIME for
 #                real measurements, e.g. make bench BENCHTIME=3s)
 #   make bench-json     run the engine benchmarks with -benchmem and write
@@ -73,7 +77,7 @@ GATE_RAW ?= /tmp/dfence_bench_gate.txt
 OLD ?= bench_old.txt
 NEW ?= bench_new.txt
 
-.PHONY: build test race vet lint bench bench-json bench-compare bench-gate journal-smoke serve-smoke trace-smoke fuzz-smoke ci
+.PHONY: build test race vet lint bench-check bench bench-json bench-compare bench-gate journal-smoke serve-smoke trace-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -90,10 +94,16 @@ race:
 vet:
 	$(GO) vet ./...
 
+# The lint fixtures under testdata/ are deliberately malformed Go.
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+		if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/modelcheck .
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || \
 		echo "staticcheck not installed; skipping (CI runs it)"
+
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) .
@@ -156,4 +166,4 @@ trace-smoke:
 fuzz-smoke:
 	$(GO) run ./cmd/dfence fuzz -seed $(FUZZ_SEED) -n $(FUZZ_N) -out $(FUZZ_OUT)
 
-ci: build vet lint test race journal-smoke serve-smoke trace-smoke fuzz-smoke
+ci: build vet lint test bench-check race journal-smoke serve-smoke trace-smoke fuzz-smoke

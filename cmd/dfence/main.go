@@ -292,10 +292,8 @@ func main() {
 		journal.SyncOnCheckpoint(true)
 		sinks = append(sinks, journal)
 	}
-	var reg *telemetry.Registry
 	if *listenF != "" || *metOut != "" {
-		reg = telemetry.NewRegistry(workers)
-		cfg.Metrics = telemetry.NewMetrics(reg)
+		cfg.Metrics = telemetry.NewMetrics(telemetry.NewRegistry(workers))
 	}
 	var tracer *trace.Tracer
 	if *traceF != "" {
@@ -303,9 +301,7 @@ func main() {
 		cfg.Tracer = tracer
 	}
 	if *listenF != "" {
-		status := &telemetry.Status{}
-		sinks = append(sinks, status)
-		srv := &telemetry.Server{Registry: reg, Status: status}
+		srv := &telemetry.Server{Metrics: cfg.Metrics}
 		if tracer != nil {
 			srv.Tracez = tracer.Summary
 		}
@@ -324,10 +320,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, "dfence: journal:", err)
 			}
 		}
-		if *metOut != "" && reg != nil {
+		if *metOut != "" {
 			f, err := os.Create(*metOut)
 			if err == nil {
-				err = reg.WriteOpenMetrics(f)
+				err = cfg.Metrics.Registry.WriteOpenMetrics(f)
 				if cerr := f.Close(); err == nil {
 					err = cerr
 				}

@@ -83,11 +83,8 @@ func main() {
 		if workers <= 0 {
 			workers = runtime.NumCPU()
 		}
-		reg := telemetry.NewRegistry(workers)
-		opts.Metrics = telemetry.NewMetrics(reg)
-		status := &telemetry.Status{}
-		opts.Sink = status
-		srv := &telemetry.Server{Registry: reg, Status: status}
+		opts.Metrics = telemetry.NewMetrics(telemetry.NewRegistry(workers))
+		srv := &telemetry.Server{Metrics: opts.Metrics}
 		if tracer != nil {
 			srv.Tracez = tracer.Summary
 		}

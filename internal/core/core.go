@@ -70,7 +70,8 @@ type Config struct {
 	// serial path.
 	Workers int
 	// MergeFences enables the redundant-fence merge pass after synthesis
-	// converges (§5.2). Default off; Table 3 runs use it.
+	// converges (§5.2). Default off; no front-end sets it (eval's Table 3
+	// cells rely on ValidateFences instead).
 	MergeFences bool
 	// ValidateFences greedily re-tests each synthesized fence after
 	// convergence: a fence whose removal leaves ValidateExecs executions
@@ -91,9 +92,6 @@ type Config struct {
 	// EnforceWithCAS realizes ordering predicates as dummy-location CAS
 	// instructions instead of fences (paper §4.2, TSO only).
 	EnforceWithCAS bool
-	// NoWitness disables counterexample capture (one extra traced
-	// execution when the first violation is found).
-	NoWitness bool
 	// ExecTimeout bounds each round execution's wall-clock time (0 =
 	// none). A run that exceeds it stops and is counted Inconclusive —
 	// the guard against pathological schedules that MaxStepsPerExec alone
@@ -109,10 +107,6 @@ type Config struct {
 	// identically on every machine (judged Inconclusive, like a
 	// step-limit hit).
 	MaxItersPerExec int
-	// RoundTimeout bounds each round's execution batch (0 = none).
-	// Executions still in flight when it expires stop and count
-	// Inconclusive; not-yet-started ones are Skipped.
-	RoundTimeout time.Duration
 	// Deadline bounds the whole repair loop's wall-clock time (0 = none).
 	// When it expires, the in-flight round is cut short, the rounds
 	// completed so far are kept, and the Result reports Outcome ==
@@ -127,12 +121,10 @@ type Config struct {
 	// 0 selects the default 0.5; negative disables the floor.
 	MinConclusive float64
 	// MaxModels caps the solver's minimal-model enumeration per round
-	// (0 = default 4096, negative = unlimited). SolverTimeout additionally
-	// bounds the enumeration in wall clock (0 = none). Hitting either
-	// budget degrades gracefully — the round enforces the best repair
-	// found so far — and sets Result.SolverTruncated.
-	MaxModels     int
-	SolverTimeout time.Duration
+	// (0 = default 4096, negative = unlimited). Hitting the cap degrades
+	// gracefully — the round enforces the best repair found so far — and
+	// sets Result.SolverTruncated.
+	MaxModels int
 	// OptionsHook, if non-nil, may rewrite the scheduler options of
 	// synthesis-round execution (round, index) before it runs — the
 	// fault-injection harness's entry point (internal/faultinject), also
@@ -149,19 +141,20 @@ type Config struct {
 	// PruneFallbacks counter records it. Default off; results with the
 	// flag off are bit-identical to earlier versions.
 	StaticPrune bool
-	// Metrics, when non-nil, receives the run's hot-path instrumentation:
-	// execution/verdict/cache counters per worker shard, solver effort,
-	// fence lifecycle, and the step/wall-time histograms. Nil (the default)
-	// costs the instrumented paths one nil check per site — telemetry off
-	// is benchmark-neutral.
+	// Metrics, when non-nil, receives the run's instrumentation: the
+	// execution/verdict/cache counters and the step histogram per worker
+	// shard on the hot path, and — through Metrics.Emit, which receives
+	// every event Sink does — the round, solver and fence metrics and the
+	// /runz view. Nil (the default) costs the instrumented paths one nil
+	// check per site — telemetry off is benchmark-neutral.
 	Metrics *telemetry.Metrics
 	// Sink, when non-nil, receives the run's typed journal events
 	// (RoundStart, Violation, SolverResult, FenceChange, RoundEnd,
-	// Checkpoint, Converged) — the structured story a JSONL journal or the
-	// /runz view is built from. The loop does not emit RunStart: only the
-	// caller knows the program's source form, so CLI/eval emit it before
-	// Synthesize. Emission happens on the coordinating goroutine only
-	// (never inside worker executions), so a Sink adds no hot-path cost.
+	// Checkpoint, Converged) — the structured story a JSONL journal is
+	// built from. The loop does not emit RunStart: only the caller knows
+	// the program's source form, so CLI/eval emit it before Synthesize.
+	// Emission happens on the coordinating goroutine only (never inside
+	// worker executions), so a Sink adds no hot-path cost.
 	Sink telemetry.Sink
 	// Tracer, when non-nil, receives the run's timeline: run/round/phase
 	// spans on the coordinator lane, sampled per-execution spans with
@@ -192,6 +185,10 @@ type Config struct {
 	// mv is the nil-safe metrics view fill() caches so hot paths record
 	// unconditionally through no-op handles when Metrics is nil.
 	mv telemetry.Metrics
+	// sink is the one stream every coordinator event goes to: Sink plus
+	// Metrics, composed by fill(); nil when both are, so a run without
+	// telemetry pays one nil check per event.
+	sink telemetry.Sink
 }
 
 func (c *Config) fill() {
@@ -230,11 +227,10 @@ func (c *Config) fill() {
 		c.MaxModels = 0 // unlimited for sat.Budget
 	}
 	c.mv = c.Metrics.View()
-}
-
-// solverBudget translates the config's solver knobs into a sat.Budget.
-func (c *Config) solverBudget() sat.Budget {
-	return sat.Budget{MaxModels: c.MaxModels, Timeout: c.SolverTimeout}
+	c.sink = c.Sink
+	if c.Metrics != nil {
+		c.sink = telemetry.MultiSink(c.Sink, c.Metrics)
+	}
 }
 
 // Outcome classifies how a synthesis ended — the unambiguous replacement
@@ -285,7 +281,7 @@ type Round struct {
 	// Result.ExecErrors.
 	Errors int
 	// Skipped counts executions never started because the round was cut
-	// off (deadline, round timeout, or an externally cancelled batch).
+	// off (deadline, or an externally cancelled batch).
 	Skipped int
 	// DistinctClauses is the number of distinct repair disjunctions
 	// accumulated into φ.
@@ -379,7 +375,7 @@ type Result struct {
 	// The per-round Errors counters account for every occurrence.
 	ExecErrors []*sched.ExecError
 	// SolverTruncated reports that some round's minimal-model enumeration
-	// hit the MaxModels/SolverTimeout budget: the enforced repairs were
+	// hit the MaxModels budget: the enforced repairs were
 	// the best found within budget, not a provably minimal choice.
 	SolverTruncated bool
 	// MergedAway is the number of redundant fences removed by the merge
@@ -576,7 +572,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 	// uninterrupted run also executed.
 	checkpoint := func(completed int) (stop bool) {
 		cfg.Tracer.Instant(0, trace.InstantCheckpoint, completed, 0)
-		telemetry.Emit(cfg.Sink, telemetry.Checkpoint{
+		telemetry.Emit(cfg.sink, telemetry.Checkpoint{
 			Round:             completed,
 			Fences:            telemetry.FencesOf(result.Fences),
 			TotalExecutions:   result.TotalExecutions,
@@ -596,19 +592,13 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 	}
 
 	// endRound is the single exit path of a round's bookkeeping: it
-	// appends the statistics, feeds the round-level metrics, closes the
-	// round's trace span, and emits the RoundEnd journal event — so every
-	// break/continue below reports identically.
+	// appends the statistics, closes the round's trace span, and emits the
+	// RoundEnd event — so every break/continue below reports identically.
 	var roundSpan trace.Span
 	endRound := func(stats *Round, round int) {
 		roundSpan.End()
 		result.Rounds = append(result.Rounds, *stats)
-		cfg.mv.Rounds.Inc(0)
-		cfg.mv.Skipped.Add(0, int64(stats.Skipped))
-		cfg.mv.Predicates.Add(0, int64(stats.Predicates))
-		cfg.mv.PrunedPredicates.Add(0, int64(stats.PrunedPredicates))
-		cfg.mv.RoundWallUS.Observe(0, stats.Wall.Microseconds())
-		telemetry.Emit(cfg.Sink, telemetry.RoundEnd{
+		telemetry.Emit(cfg.sink, telemetry.RoundEnd{
 			Round:           round + 1,
 			Executions:      stats.Executions,
 			Violations:      stats.Violations,
@@ -643,8 +633,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 			delaySet = sa.DelaySet()
 			stats.StaticDelayPairs = len(sa.Delays)
 		}
-		cfg.mv.CurrentRound.Set(int64(round + 1))
-		telemetry.Emit(cfg.Sink, telemetry.RoundStart{Round: round + 1, DelayPairs: stats.StaticDelayPairs})
+		telemetry.Emit(cfg.sink, telemetry.RoundStart{Round: round + 1, DelayPairs: stats.StaticDelayPairs})
 		roundSpan = cfg.Tracer.Begin(0, trace.SpanRound, round+1)
 		collectSpan := cfg.Tracer.Begin(0, trace.SpanCollect, round+1)
 		started := time.Now()
@@ -706,7 +695,9 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 					o.repairs = kept
 				}
 			}
-			if len(o.repairs) == 0 {
+			empty := len(o.repairs) == 0
+			pre := formula.NumClauses()
+			if empty {
 				// No candidate repairs: this execution cannot be avoided by
 				// the predicate class (Algorithm 1 aborts here; we record it
 				// and keep going — later rounds may still fix everything
@@ -716,40 +707,22 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 				if result.UnfixableExample == "" {
 					result.UnfixableExample = o.desc
 				}
-				if cfg.Sink != nil && !emittedEmpty {
-					// Journal the first empty-disjunction violation of the
-					// round (they recur heavily; RoundEnd's counters cover
-					// the rest).
-					emittedEmpty = true
-					if i == witnessIdx {
-						witnessEvIdx = len(vioEvents)
-					}
-					vioEvents = append(vioEvents, telemetry.Violation{
-						Round: round + 1, Index: i, Seed: roundOpts(&cfg, round, i).Seed, Desc: o.desc,
-					})
-				}
-				continue
-			}
-			if cfg.Sink != nil {
-				// Journal one Violation per distinct disjunction: φ dedupes
-				// clauses, so "did NumClauses grow" is exactly that test.
-				pre := formula.NumClauses()
-				if err := formula.AddExecution(o.repairs); err != nil {
-					return nil, err
-				}
-				if formula.NumClauses() > pre {
-					if i == witnessIdx {
-						witnessEvIdx = len(vioEvents)
-					}
-					vioEvents = append(vioEvents, telemetry.Violation{
-						Round: round + 1, Index: i, Seed: roundOpts(&cfg, round, i).Seed,
-						Disjunction: telemetry.PredsOf(o.repairs),
-					})
-				}
-				continue
-			}
-			if err := formula.AddExecution(o.repairs); err != nil {
+			} else if err := formula.AddExecution(o.repairs); err != nil {
 				return nil, err
+			}
+			// Journal the round's first empty-disjunction violation (they
+			// recur heavily; RoundEnd's counters cover the rest) and one
+			// Violation per distinct disjunction: φ dedupes clauses, so
+			// "did NumClauses grow" is exactly that test.
+			if cfg.sink != nil && (empty && !emittedEmpty || formula.NumClauses() > pre) {
+				emittedEmpty = emittedEmpty || empty
+				if i == witnessIdx {
+					witnessEvIdx = len(vioEvents)
+				}
+				vioEvents = append(vioEvents, telemetry.Violation{
+					Round: round + 1, Index: i, Seed: roundOpts(&cfg, round, i).Seed, Desc: o.desc,
+					Disjunction: telemetry.PredsOf(o.repairs),
+				})
 			}
 		}
 		result.TotalInconclusive += stats.Inconclusive + stats.Skipped
@@ -758,7 +731,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		stats.Wall = time.Since(started)
 		stats.ExecsPerSec = execRate(stats.Executions, stats.Wall)
 		collectSpan.End()
-		if witnessIdx >= 0 && result.Witness == nil && !witnessDone && !cfg.NoWitness {
+		if witnessIdx >= 0 && result.Witness == nil && !witnessDone {
 			// Re-run the lowest violating seed traced to capture a
 			// reproducible counterexample schedule (the same execution the
 			// serial loop would have traced first).
@@ -778,7 +751,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 			}
 		}
 		for _, ve := range vioEvents {
-			telemetry.Emit(cfg.Sink, ve)
+			telemetry.Emit(cfg.sink, ve)
 		}
 
 		if ctx.Err() != nil {
@@ -817,20 +790,13 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		solveSpan := cfg.Tracer.Begin(0, trace.SpanSolve, round+1)
 		solveStart := time.Now()
 		pprof.Do(ctx, pprof.Labels("dfence_phase", "solve"), func(context.Context) {
-			sols, truncated = formula.MinimalSolutions(cfg.solverBudget(), &sst)
+			sols, truncated = formula.MinimalSolutions(sat.Budget{MaxModels: cfg.MaxModels}, &sst)
 		})
 		solverWall := time.Since(solveStart)
 		solveSpan.End()
 		if sst.Restarts > 0 {
 			cfg.Tracer.Instant(0, trace.InstantSolverRestarts, round+1, sst.Restarts)
 		}
-		cfg.mv.SolverModels.Add(0, int64(sst.Models))
-		cfg.mv.SolverConflicts.Add(0, sst.Conflicts)
-		cfg.mv.SolverDecisions.Add(0, sst.Decisions)
-		cfg.mv.SolverPropagations.Add(0, sst.Propagations)
-		cfg.mv.SolverRestarts.Add(0, sst.Restarts)
-		cfg.mv.SolverClauses.Add(0, int64(sst.Clauses))
-		cfg.mv.SolverWallUS.Observe(0, solverWall.Microseconds())
 		if truncated {
 			result.SolverTruncated = true
 		}
@@ -850,7 +816,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 				}
 			}
 		}
-		telemetry.Emit(cfg.Sink, telemetry.SolverResult{
+		telemetry.Emit(cfg.sink, telemetry.SolverResult{
 			Round:        round + 1,
 			Clauses:      sst.Clauses,
 			Predicates:   stats.Predicates,
@@ -876,8 +842,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		stats.Inserted = fences
 		result.Fences = append(result.Fences, fences...)
 		if len(fences) > 0 {
-			cfg.mv.FencesInserted.Add(0, int64(len(fences)))
-			telemetry.Emit(cfg.Sink, telemetry.FenceChange{
+			telemetry.Emit(cfg.sink, telemetry.FenceChange{
 				Round: round + 1, Action: "insert",
 				Fences: telemetry.FencesOf(fences), Count: len(fences),
 			})
@@ -924,8 +889,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		}
 		result.MergedAway = merged
 		if merged > 0 {
-			cfg.mv.FencesRemoved.Add(0, int64(merged))
-			telemetry.Emit(cfg.Sink, telemetry.FenceChange{Action: "merge", Count: merged})
+			telemetry.Emit(cfg.sink, telemetry.FenceChange{Action: "merge", Count: merged})
 		}
 		minimizeSpan.End()
 	}
@@ -937,7 +901,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 // emitConverged closes the journal with the terminal event (emitted for
 // every outcome) and settles the gauge-style run totals.
 func emitConverged(cfg *Config, result *Result) {
-	telemetry.Emit(cfg.Sink, telemetry.Converged{
+	telemetry.Emit(cfg.sink, telemetry.Converged{
 		Outcome:          result.Outcome.String(),
 		Rounds:           len(result.Rounds),
 		TotalExecutions:  result.TotalExecutions,

@@ -285,22 +285,3 @@ func TestWitnessCapturedAndReplayable(t *testing.T) {
 		t.Error("witness replay did not reproduce the violation")
 	}
 }
-
-func TestNoWitnessOption(t *testing.T) {
-	p, _, _ := buildSPSC(t)
-	res, err := Synthesize(p, Config{
-		Model:         memmodel.PSO,
-		Criterion:     spec.SeqConsistency,
-		NewSpec:       spec.NewDeque,
-		ExecsPerRound: 200,
-		MaxRounds:     4,
-		Seed:          42,
-		NoWitness:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Witness != nil {
-		t.Error("witness captured despite NoWitness")
-	}
-}

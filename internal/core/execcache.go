@@ -371,8 +371,7 @@ func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCa
 		dropped := kept[i].f
 		kept = candidate
 		result.Redundant++
-		cfg.mv.FencesRemoved.Inc(0)
-		telemetry.Emit(cfg.Sink, telemetry.FenceChange{
+		telemetry.Emit(cfg.sink, telemetry.FenceChange{
 			Action: "drop-redundant",
 			Fences: telemetry.FencesOf([]synth.InsertedFence{dropped}),
 		})

@@ -156,14 +156,9 @@ func trialOpts(cfg *Config, seedBase int64, i int) sched.Options {
 // cfg.Workers goroutines and returns one outcome slot per execution, in
 // execution order. work is shared read-only across the workers; each
 // execution gets its own interp.Machine and each worker its own collector.
-// Slots whose execution never started (ctx or RoundTimeout expired first)
-// come back as the zero outcome with ran == false.
+// Slots whose execution never started (ctx expired first) come back as
+// the zero outcome with ran == false.
 func runRound(ctx context.Context, work *ir.Program, cfg *Config, jcs []judgeCache, round int) []execOutcome {
-	if cfg.RoundTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.RoundTimeout)
-		defer cancel()
-	}
 	newObs := func(int) interp.Observer { return synth.NewCollector(cfg.Model) }
 	reduce := func(i, worker int, obs interp.Observer, res *interp.Result, err *sched.ExecError) (execOutcome, bool) {
 		coll := obs.(*synth.Collector)

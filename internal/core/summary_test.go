@@ -65,7 +65,7 @@ func TestSummarySnapshot(t *testing.T) {
 // Result carries its program.
 func TestSummaryUnfixable(t *testing.T) {
 	res := &Result{
-		Rounds: []Round{{Executions: 100, Violations: 100, Wall: time.Millisecond, ExecsPerSec: 100000}},
+		Rounds:  []Round{{Executions: 100, Violations: 100, Wall: time.Millisecond, ExecsPerSec: 100000}},
 		Outcome: OutcomeUnfixable, Unfixable: true,
 		UnfixableExample: "history not accepted: t1:put(1)",
 		TotalExecutions:  100,
@@ -93,9 +93,9 @@ func TestExecRate(t *testing.T) {
 		execs int
 		wall  time.Duration
 	}{
-		{500, 0},                    // coarse clock: measured zero
-		{500, -time.Nanosecond},     // monotonic anomaly
-		{1, time.Nanosecond},        // sub-microsecond round
+		{500, 0},                // coarse clock: measured zero
+		{500, -time.Nanosecond}, // monotonic anomaly
+		{1, time.Nanosecond},    // sub-microsecond round
 		{1000, 500 * time.Nanosecond},
 		{1000, time.Second},
 	}

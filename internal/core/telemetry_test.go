@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dfence/internal/memmodel"
+	"dfence/internal/progs"
 	"dfence/internal/spec"
 	"dfence/internal/telemetry"
 )
@@ -231,7 +232,7 @@ func TestTelemetryDisabledIdentical(t *testing.T) {
 	j := telemetry.NewJournal(&b)
 	instrumented, err := Synthesize(p.Clone(), synthConfig(func(c *Config) {
 		c.Metrics = telemetry.NewMetrics(reg)
-		c.Sink = telemetry.MultiSink(j, &telemetry.Status{})
+		c.Sink = j
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -253,5 +254,160 @@ func TestTelemetryDisabledIdentical(t *testing.T) {
 	if bare.Summary() != instrumented.Summary() {
 		t.Errorf("telemetry changed the result:\nbare:\n%s\n\ninstrumented:\n%s",
 			bare.Summary(), instrumented.Summary())
+	}
+}
+
+// TestComposedSinkNilWhenDisabled: with neither Sink nor Metrics the
+// composed event stream is nil, so a run without telemetry pays one nil
+// check per event and builds no event at all.
+func TestComposedSinkNilWhenDisabled(t *testing.T) {
+	var cfg Config
+	cfg.fill()
+	if cfg.sink != nil {
+		t.Fatalf("composed sink = %#v, want nil", cfg.sink)
+	}
+	j := telemetry.NewJournal(&strings.Builder{})
+	cfg = Config{Sink: j}
+	cfg.fill()
+	if cfg.sink != telemetry.Sink(j) {
+		t.Errorf("composed sink with Sink only = %#v, want the Sink itself", cfg.sink)
+	}
+	met := telemetry.NewMetrics(telemetry.NewRegistry(1))
+	cfg = Config{Metrics: met}
+	cfg.fill()
+	if cfg.sink != telemetry.Sink(met) {
+		t.Errorf("composed sink with Metrics only = %#v, want the Metrics itself", cfg.sink)
+	}
+}
+
+// TestMetricsFoldMatchesJournal: Metrics folds the event stream the journal
+// records, so over a few corpus programs the journal's totals equal the
+// round, solver and fence metrics exactly, and every metric-backed /runz
+// field equals its metric.
+func TestMetricsFoldMatchesJournal(t *testing.T) {
+	met := telemetry.NewMetrics(telemetry.NewRegistry(2))
+	var events []telemetry.Event
+	// chase-lev under TSO and msn-queue under PSO each have fences dropped
+	// as redundant by validation.
+	for _, c := range []struct {
+		name  string
+		model memmodel.Model
+	}{{"chase-lev", memmodel.TSO}, {"msn-queue", memmodel.PSO}, {"lifo-wsq", memmodel.PSO}} {
+		b, err := progs.ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := goldenConfig(b, c.model)
+		cfg.Workers, cfg.MergeFences = 2, true
+		var buf strings.Builder
+		j := telemetry.NewJournal(&buf)
+		cfg.Sink, cfg.Metrics = j, met
+		if _, err := Synthesize(b.Program(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := telemetry.ReadJournal(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, evs...)
+	}
+
+	var j telemetry.RunStatus
+	var rounds, roundWallUS, solverWallUS, clauses, skipped, preds, pruned int64
+	lastRound := 0
+	for _, e := range events {
+		switch ev := e.(type) {
+		case telemetry.RoundStart:
+			lastRound = ev.Round
+		case telemetry.RoundEnd:
+			rounds++
+			roundWallUS += ev.WallUS
+			skipped += int64(ev.Skipped)
+			preds += int64(ev.Predicates)
+			pruned += int64(ev.PrunedPreds)
+			j.Executions += ev.Executions
+			j.Violations += ev.Violations
+			j.Inconclusive += ev.Inconclusive
+			j.DistinctClauses += ev.DistinctClauses
+		case telemetry.SolverResult:
+			j.Solver.Rounds++
+			j.Solver.Models += ev.Models
+			j.Solver.Conflicts += ev.Conflicts
+			j.Solver.Decisions += ev.Decisions
+			j.Solver.Propagations += ev.Propagations
+			j.Solver.Restarts += ev.Restarts
+			clauses += int64(ev.Clauses)
+			solverWallUS += ev.WallUS
+		case telemetry.FenceChange:
+			switch ev.Action {
+			case "insert":
+				j.FencesInserted += len(ev.Fences)
+			case "drop-redundant":
+				j.FencesRemoved += len(ev.Fences)
+			case "merge":
+				j.FencesRemoved += ev.Count
+			}
+		case telemetry.Converged:
+			j.Outcome = ev.Outcome
+		}
+	}
+	if j.Solver.Rounds == 0 || j.FencesInserted == 0 || j.FencesRemoved == 0 {
+		t.Fatalf("corpus runs too small to exercise the fold: %+v", j)
+	}
+
+	hist := map[string]telemetry.HistogramSnap{}
+	for _, h := range met.Registry.Snapshot().Histograms {
+		hist[h.Name] = h
+	}
+	eq := func(what string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: metrics %d, journal %d", what, got, want)
+		}
+	}
+	eq("round wall histogram sum", hist["dfence_round_wall_us"].Sum, roundWallUS)
+	eq("round wall histogram count", hist["dfence_round_wall_us"].Count, rounds)
+	eq("solver wall histogram sum", hist["dfence_solver_wall_us"].Sum, solverWallUS)
+	eq("solver wall histogram count", hist["dfence_solver_wall_us"].Count, int64(j.Solver.Rounds))
+	eq("rounds", met.Rounds.Value(), rounds)
+	eq("current round", met.CurrentRound.Value(), int64(lastRound))
+	eq("skipped", met.Skipped.Value(), skipped)
+	eq("predicates", met.Predicates.Value(), preds)
+	eq("pruned predicates", met.PrunedPredicates.Value(), pruned)
+	eq("solver models", met.SolverModels.Value(), int64(j.Solver.Models))
+	eq("solver conflicts", met.SolverConflicts.Value(), j.Solver.Conflicts)
+	eq("solver decisions", met.SolverDecisions.Value(), j.Solver.Decisions)
+	eq("solver propagations", met.SolverPropagations.Value(), j.Solver.Propagations)
+	eq("solver restarts", met.SolverRestarts.Value(), j.Solver.Restarts)
+	eq("solver clauses", met.SolverClauses.Value(), clauses)
+	eq("fences inserted", met.FencesInserted.Value(), int64(j.FencesInserted))
+	eq("fences removed", met.FencesRemoved.Value(), int64(j.FencesRemoved))
+
+	// /runz: metric-backed fields read their metric; the rest are the
+	// journal's own fold.
+	run := met.Run()
+	eq("runz round", int64(run.Round), met.CurrentRound.Value())
+	eq("runz rounds_completed", int64(run.Rounds), met.Rounds.Value())
+	eq("runz skipped", int64(run.Skipped), met.Skipped.Value())
+	eq("runz fences_inserted", int64(run.FencesInserted), met.FencesInserted.Value())
+	eq("runz fences_removed", int64(run.FencesRemoved), met.FencesRemoved.Value())
+	eq("runz cache_hits", int64(run.CacheHits), met.CacheHits.Value())
+	eq("runz cache_misses", int64(run.CacheMisses), met.CacheMisses.Value())
+	eq("runz solver models", int64(run.Solver.Models), met.SolverModels.Value())
+	eq("runz solver conflicts", run.Solver.Conflicts, met.SolverConflicts.Value())
+	eq("runz solver decisions", run.Solver.Decisions, met.SolverDecisions.Value())
+	eq("runz solver propagations", run.Solver.Propagations, met.SolverPropagations.Value())
+	eq("runz solver restarts", run.Solver.Restarts, met.SolverRestarts.Value())
+	eq("runz executions", int64(run.Executions), int64(j.Executions))
+	eq("runz violations", int64(run.Violations), int64(j.Violations))
+	eq("runz inconclusive", int64(run.Inconclusive), int64(j.Inconclusive))
+	eq("runz distinct clauses", int64(run.DistinctClauses), int64(j.DistinctClauses))
+	eq("runz solver rounds", int64(run.Solver.Rounds), int64(j.Solver.Rounds))
+	if len(run.Solver.RoundWallUS) != j.Solver.Rounds || run.Outcome != j.Outcome {
+		t.Errorf("runz solve-time list %v / outcome %q, journal %d solves / outcome %q",
+			run.Solver.RoundWallUS, run.Outcome, j.Solver.Rounds, j.Outcome)
 	}
 }

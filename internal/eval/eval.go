@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"dfence/internal/core"
 	"dfence/internal/ir"
@@ -43,22 +42,16 @@ type Options struct {
 	// through to core.Config.Workers (0 = NumCPU). Every artifact is
 	// bit-identical for any value.
 	Workers int
-	// ExecTimeout and Deadline pass through to the matching core.Config
-	// budgets (0 = none) so long table runs degrade to partial, clearly
-	// flagged cells instead of hanging.
-	ExecTimeout time.Duration
-	Deadline    time.Duration
 	// JournalDir, when non-empty, writes one JSONL run journal per cell
 	// to <JournalDir>/<bench>_<criterion>_<model>.jsonl — the per-cell
 	// provenance of a Table 3 artifact, each replayable with
 	// `dfence explain`.
 	JournalDir string
-	// Metrics and Sink pass through to every cell's core.Config: one
-	// registry accumulates across the whole table, and Sink (e.g. a
-	// telemetry.Status feeding /runz) sees every cell's events in
-	// addition to the per-cell journal.
+	// Metrics passes through to every cell's core.Config: one bundle
+	// accumulates across the whole table, folding every cell's events
+	// (the /runz view of `experiments -listen`) besides its hot-path
+	// counters.
 	Metrics *telemetry.Metrics
-	Sink    telemetry.Sink
 	// Tracer, when non-nil, records every cell's spans into one shared
 	// trace (cells are sequential, so round spans never interleave).
 	Tracer *trace.Tracer
@@ -175,12 +168,9 @@ func SynthesizeCell(b *progs.Benchmark, crit spec.Criterion, model memmodel.Mode
 		Seed:             o.Seed,
 		Workers:          o.Workers,
 		ValidateFences:   o.Validate,
-		ExecTimeout:      o.ExecTimeout,
-		Deadline:         o.Deadline,
 		Metrics:          o.Metrics,
 		Tracer:           o.Tracer,
 	}
-	sink := o.Sink
 	var journal *telemetry.Journal
 	if o.JournalDir != "" {
 		path := filepath.Join(o.JournalDir, fmt.Sprintf("%s_%v_%v.jsonl", b.Name, crit, model))
@@ -189,10 +179,9 @@ func SynthesizeCell(b *progs.Benchmark, crit spec.Criterion, model memmodel.Mode
 		if jerr != nil {
 			return Cell{}, jerr
 		}
-		sink = telemetry.MultiSink(sink, journal)
+		cfg.Sink = journal
 	}
-	cfg.Sink = sink
-	telemetry.Emit(sink, telemetry.RunStart{
+	telemetry.Emit(cfg.Sink, telemetry.RunStart{
 		Model:     model.String(),
 		Criterion: crit.String(),
 		SeqSpec:   b.SpecName,

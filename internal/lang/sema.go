@@ -53,13 +53,13 @@ var intrinsics = map[string]struct {
 	"fence_ls":  {0, tVoid},
 	"fence_acq": {0, tVoid},
 	"fence_rel": {0, tVoid},
-	"alloc":    {1, PtrTo(tInt)},
-	"sysfree":  {1, tVoid},
-	"self":     {0, tInt},
-	"assert":   {1, tVoid},
-	"print":    {1, tVoid},
-	"lock":     {1, tVoid},
-	"unlock":   {1, tVoid},
+	"alloc":     {1, PtrTo(tInt)},
+	"sysfree":   {1, tVoid},
+	"self":      {0, tInt},
+	"assert":    {1, tVoid},
+	"print":     {1, tVoid},
+	"lock":      {1, tVoid},
+	"unlock":    {1, tVoid},
 }
 
 // Analyze performs semantic analysis on a parsed file.

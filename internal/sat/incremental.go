@@ -3,11 +3,10 @@ package sat
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Budget bounds minimal-model enumeration. The zero value means unlimited
-// (the paper's behaviour: enumerate every minimal model). When a bound
+// (the paper's behaviour: enumerate every minimal model). When the bound
 // trips, enumeration degrades gracefully: the models found so far are
 // returned (sorted as usual) with truncated=true, so callers can proceed
 // with the best repairs discovered instead of hanging on a pathological φ.
@@ -15,13 +14,7 @@ type Budget struct {
 	// MaxModels stops enumeration after this many distinct minimal models
 	// (<= 0: unlimited).
 	MaxModels int
-	// Timeout bounds the enumeration's wall-clock time (<= 0: unlimited).
-	// Granularity is per model found: the check runs between solver calls,
-	// so a single very hard Solve can overrun it.
-	Timeout time.Duration
 }
-
-func (b Budget) unlimited() bool { return b.MaxModels <= 0 && b.Timeout <= 0 }
 
 // Stats reports one enumeration's solver effort, for telemetry. All
 // counters are per-enumeration deltas, even though the enumeration runs on
@@ -163,19 +156,14 @@ func (inc *Incremental) NumClauses() int { return len(inc.clauses) }
 // exhausted, the models found so far are returned with truncated=true;
 // each is still irredundant (the shrink runs per model), so a truncated
 // answer is a sound — merely possibly incomplete — repair set. The
-// MaxModels cutoff is deterministic; the Timeout cutoff is wall-clock and
-// therefore machine-dependent. st (ignored when nil) receives the solver
-// effort of this call only (counter deltas, not lifetime totals).
+// MaxModels cutoff is deterministic. st (ignored when nil) receives the
+// solver effort of this call only (counter deltas, not lifetime totals).
 func (inc *Incremental) MinimalModels(budget Budget, st *Stats) (models [][]int, truncated bool) {
 	inc.ensureGuard()
 	baseConfl := inc.s.Conflicts()
 	baseDec := inc.s.Decisions()
 	baseProp := inc.s.Propagations()
 	baseRest := inc.s.Restarts()
-	var deadline time.Time
-	if budget.Timeout > 0 {
-		deadline = time.Now().Add(budget.Timeout)
-	}
 	if cap(inc.cur) < inc.nvars+1 {
 		inc.cur = make([]bool, inc.nvars+1)
 	}
@@ -194,12 +182,9 @@ func (inc *Incremental) MinimalModels(budget Budget, st *Stats) (models [][]int,
 		if len(min) == 0 {
 			break // empty model satisfies everything: stop
 		}
-		if !budget.unlimited() {
-			if (budget.MaxModels > 0 && len(out) >= budget.MaxModels) ||
-				(!deadline.IsZero() && time.Now().After(deadline)) {
-				truncated = true
-				break
-			}
+		if budget.MaxModels > 0 && len(out) >= budget.MaxModels {
+			truncated = true
+			break
 		}
 		// Block this minimal model and all its supersets — for this round
 		// only (the guard literal deactivates the clause at BeginRound).

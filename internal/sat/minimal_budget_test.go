@@ -3,7 +3,6 @@ package sat
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 // indepClauses builds n independent binary clauses (2i-1 ∨ 2i), whose
@@ -58,19 +57,6 @@ func TestBudgetMaxModels(t *testing.T) {
 	again, _ := minimalModels(nvars, clauses, Budget{MaxModels: 5})
 	if !reflect.DeepEqual(got, again) {
 		t.Fatal("MaxModels truncation is nondeterministic")
-	}
-}
-
-func TestBudgetTimeout(t *testing.T) {
-	nvars, clauses := indepClauses(9) // 512 minimal models
-	// An already-expired timeout must still yield at least one model
-	// (the check runs after each model is recorded).
-	got, truncated := minimalModels(nvars, clauses, Budget{Timeout: time.Nanosecond})
-	if !truncated {
-		t.Fatal("nanosecond timeout over 512 models did not truncate")
-	}
-	if len(got) == 0 {
-		t.Fatal("timeout returned no models at all — graceful degradation broken")
 	}
 }
 

@@ -168,8 +168,8 @@ func TestRunBatchPanicIsolation(t *testing.T) {
 				t.Fatalf("clean run: slot %d errored: %v", i, err)
 			}
 			// res.Output aliases the pooled worker machine (see the
-				// worker-ownership invariant); copy before retaining.
-				return batchOutcome{steps: res.Steps, output: append([]int64(nil), res.Output...)}, false
+			// worker-ownership invariant); copy before retaining.
+			return batchOutcome{steps: res.Steps, output: append([]int64(nil), res.Output...)}, false
 		})
 	faultyOptsFor := func(i int) Options {
 		opts := optsFor(i)

@@ -46,7 +46,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /jobs/{id}/journal", s.handleJournal)
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
-	ts := &telemetry.Server{Registry: s.registry, Status: s.status, Ready: s.Ready, Tracez: s.Tracez}
+	ts := &telemetry.Server{Metrics: s.metrics, Ready: s.Ready, Tracez: s.Tracez}
 	mux.Handle("/", ts.Handler())
 	return mux
 }

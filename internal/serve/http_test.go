@@ -168,3 +168,61 @@ func TestHTTPOverloadAndDrain(t *testing.T) {
 		t.Fatalf("submit while draining: status %d, want 503", resp3.StatusCode)
 	}
 }
+
+// TestRunzCacheHitsAcrossJobs: /runz reports cache hits and misses from the
+// same counters /metrics exports, so after two different jobs the run
+// section agrees with the cumulative dfence_exec_cache_* counters instead
+// of holding only the last job's numbers.
+func TestRunzCacheHitsAcrossJobs(t *testing.T) {
+	s := newServer(t, t.TempDir(), nil)
+	s.Start()
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, seed := range []int64{7, 8} {
+		spec := mailboxSpec()
+		spec.Seed = seed
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, sr := postJob(t, ts, string(body))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit seed %d: status %d, want 202", seed, resp.StatusCode)
+		}
+		waitState(t, s, sr.ID, StateDone)
+	}
+
+	r, err := http.Get(ts.URL + "/runz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p struct {
+		Run struct {
+			CacheHits   int64 `json:"cache_hits"`
+			CacheMisses int64 `json:"cache_misses"`
+		} `json:"run"`
+		Metrics struct {
+			Counters []struct {
+				Name  string `json:"name"`
+				Value int64  `json:"value"`
+			} `json:"counters"`
+		} `json:"metrics"`
+	}
+	err = json.NewDecoder(r.Body).Decode(&p)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := map[string]int64{}
+	for _, c := range p.Metrics.Counters {
+		counter[c.Name] = c.Value
+	}
+	if hits := counter["dfence_exec_cache_hits"]; p.Run.CacheHits != hits || hits == 0 {
+		t.Errorf("run.cache_hits = %d, dfence_exec_cache_hits = %d (want equal, non-zero)", p.Run.CacheHits, hits)
+	}
+	if misses := counter["dfence_exec_cache_misses"]; p.Run.CacheMisses != misses {
+		t.Errorf("run.cache_misses = %d, dfence_exec_cache_misses = %d (want equal)", p.Run.CacheMisses, misses)
+	}
+}

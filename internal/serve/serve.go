@@ -82,11 +82,9 @@ var (
 // Server is the dfenced job engine. Create with New, start workers with
 // Start, stop with Drain.
 type Server struct {
-	opts     Options
-	sp       *spool
-	registry *telemetry.Registry
-	metrics  *telemetry.Metrics
-	status   *telemetry.Status
+	opts    Options
+	sp      *spool
+	metrics *telemetry.Metrics
 
 	queue   chan string
 	drainCh chan struct{}
@@ -114,19 +112,16 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := telemetry.NewRegistry(runtime.NumCPU())
 	s := &Server{
-		opts:     opts,
-		sp:       sp,
-		registry: reg,
-		metrics:  telemetry.NewMetrics(reg),
-		status:   &telemetry.Status{},
-		queue:    make(chan string, 4096),
-		drainCh:  make(chan struct{}),
-		jobs:     make(map[string]*Job),
-		timers:   make(map[string]*time.Timer),
-		tracers:  make(map[string]*trace.Tracer),
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
+		opts:    opts,
+		sp:      sp,
+		metrics: telemetry.NewMetrics(telemetry.NewRegistry(runtime.NumCPU())),
+		queue:   make(chan string, 4096),
+		drainCh: make(chan struct{}),
+		jobs:    make(map[string]*Job),
+		timers:  make(map[string]*time.Timer),
+		tracers: make(map[string]*trace.Tracer),
+		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	existing, err := sp.loadJobs()
 	if err != nil {
@@ -439,7 +434,7 @@ func (s *Server) runJob(id string) {
 	if rs, rerr := core.ResumeFromEvents(kept); rerr == nil && rs != nil {
 		cfg.Resume = rs
 	}
-	cfg.Sink = telemetry.MultiSink(journal, s.status)
+	cfg.Sink = journal
 	cfg.Interrupt = s.drainCh
 	cfg.Metrics = s.metrics
 

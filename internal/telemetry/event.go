@@ -5,14 +5,13 @@
 // disjunction, the solver's verdicts, every fence change, and the
 // terminal outcome. The core loop emits them through the nil-safe Emit
 // helper, so a run without telemetry pays one branch per (cold) call
-// site. Journal (journal.go) serializes events as JSONL; Status
-// (below) folds them into a live view for the /runz endpoint; MultiSink
-// fans one stream into both.
+// site. Journal (journal.go) serializes events as JSONL; *Metrics
+// (metrics.go) folds them into the round, solver and fence metrics and the
+// live /runz view; MultiSink fans one stream into several sinks.
 package telemetry
 
 import (
 	"fmt"
-	"sync"
 
 	"dfence/internal/ir"
 	"dfence/internal/sched"
@@ -232,7 +231,9 @@ type FenceChange struct {
 
 func (FenceChange) Kind() string { return "FenceChange" }
 
-// RoundEnd closes one repair round with its statistics.
+// RoundEnd closes one repair round with its statistics. WallUS is
+// core.Round.Wall: the round's execution batch plus the formula merge,
+// not the solve or the fence enforcement that follow it.
 type RoundEnd struct {
 	Round           int     `json:"round"`
 	Executions      int     `json:"executions"`
@@ -321,101 +322,4 @@ func (m multiSink) Emit(e Event) {
 	for _, s := range m {
 		s.Emit(e)
 	}
-}
-
-// maxRoundWallSamples bounds the per-round solve-time list RunStatus
-// carries; beyond it the list stops growing and Truncated counts the
-// overflow, so a pathological many-round run cannot grow /runz without
-// limit.
-const maxRoundWallSamples = 64
-
-// SolverStatus is the live solver section of /runz: cumulative effort
-// counters folded from SolverResult events plus the per-round solve-time
-// list (microseconds, in round order, capped at maxRoundWallSamples).
-type SolverStatus struct {
-	Rounds       int     `json:"rounds"`
-	Models       int     `json:"models"`
-	Conflicts    int64   `json:"conflicts"`
-	Decisions    int64   `json:"decisions"`
-	Propagations int64   `json:"propagations"`
-	Restarts     int64   `json:"restarts"`
-	RoundWallUS  []int64 `json:"round_wall_us,omitempty"`
-	Truncated    int     `json:"round_wall_truncated,omitempty"`
-}
-
-// RunStatus is the live view /runz serves: where the run is and what it
-// has seen so far, folded from the event stream.
-type RunStatus struct {
-	Round           int          `json:"round"`
-	Rounds          int          `json:"rounds_completed"`
-	Executions      int          `json:"executions"`
-	Violations      int          `json:"violations"`
-	Inconclusive    int          `json:"inconclusive"`
-	Skipped         int          `json:"skipped"`
-	DistinctClauses int          `json:"distinct_clauses"`
-	FencesInserted  int          `json:"fences_inserted"`
-	FencesRemoved   int          `json:"fences_removed"`
-	CacheHits       int          `json:"cache_hits"`
-	CacheMisses     int          `json:"cache_misses"`
-	Solver          SolverStatus `json:"solver"`
-	Outcome         string       `json:"outcome"` // "" while running
-}
-
-// Status is a Sink that folds the event stream into a RunStatus.
-type Status struct {
-	mu  sync.Mutex
-	cur RunStatus
-}
-
-// Emit implements Sink.
-func (st *Status) Emit(e Event) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch ev := e.(type) {
-	case RoundStart:
-		st.cur.Round = ev.Round
-	case RoundEnd:
-		st.cur.Rounds++
-		st.cur.Executions += ev.Executions
-		st.cur.Violations += ev.Violations
-		st.cur.Inconclusive += ev.Inconclusive
-		st.cur.Skipped += ev.Skipped
-		st.cur.DistinctClauses += ev.DistinctClauses
-	case SolverResult:
-		s := &st.cur.Solver
-		s.Rounds++
-		s.Models += ev.Models
-		s.Conflicts += ev.Conflicts
-		s.Decisions += ev.Decisions
-		s.Propagations += ev.Propagations
-		s.Restarts += ev.Restarts
-		if len(s.RoundWallUS) < maxRoundWallSamples {
-			s.RoundWallUS = append(s.RoundWallUS, ev.WallUS)
-		} else {
-			s.Truncated++
-		}
-	case FenceChange:
-		switch ev.Action {
-		case "insert":
-			st.cur.FencesInserted += len(ev.Fences)
-		case "drop-redundant":
-			st.cur.FencesRemoved += len(ev.Fences)
-		case "merge":
-			st.cur.FencesRemoved += ev.Count
-		}
-	case Converged:
-		st.cur.Outcome = ev.Outcome
-		st.cur.CacheHits = ev.CacheHits
-		st.cur.CacheMisses = ev.CacheMisses
-	}
-}
-
-// Snapshot returns the current view. The solve-time list is copied so
-// callers can serialize it while Emit keeps appending.
-func (st *Status) Snapshot() RunStatus {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := st.cur
-	out.Solver.RoundWallUS = append([]int64(nil), st.cur.Solver.RoundWallUS...)
-	return out
 }

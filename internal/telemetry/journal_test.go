@@ -39,8 +39,8 @@ func allEvents() []Event {
 			ExecsPerSec: 125000, PrunedPreds: 1, PruneFallbacks: 1,
 		},
 		Checkpoint{
-			Round:  1,
-			Fences: []Fence{{After: 2, Label: 90, Kind: "fence(st-st)", Func: "producer"}},
+			Round:           1,
+			Fences:          []Fence{{After: 2, Label: 90, Kind: "fence(st-st)", Func: "producer"}},
 			TotalExecutions: 500, TotalInconclusive: 5, EmptyRepairs: 1,
 			UnfixableExample: "assertion violation", PrunedPredicates: 2,
 			SolverTruncated: true, WitnessCaptured: true,

@@ -7,13 +7,17 @@
 //
 // Everything is opt-in and nil-safe: a nil *Metrics or nil Sink costs the
 // instrumented code one branch per call site, so a run with telemetry
-// disabled is benchmark-neutral (the acceptance gate of PR 5). Counters
-// and histograms are sharded per worker — the batch engine's worker index
-// (see the worker-ownership invariant in sched/batch.go) selects the
-// shard, so hot-path updates never contend — and shards are merged only
-// on read, which keeps exported snapshots deterministic: the merge is a
-// sum, so the same observations produce the same snapshot regardless of
-// which worker recorded them.
+// disabled is benchmark-neutral. Two kinds of numbers feed the registry.
+// Per-execution outcomes are counted on the hot path by the worker that
+// ran the execution; counters and histograms are sharded per worker — the
+// batch engine's worker index (see the worker-ownership invariant in
+// sched/batch.go) selects the shard, so hot-path updates never contend —
+// and shards are merged only on read, which keeps exported snapshots
+// deterministic: the merge is a sum, so the same observations produce the
+// same snapshot regardless of which worker recorded them. Round, solver
+// and fence numbers are folded from the coordinator's journal events by
+// Metrics.Emit — *Metrics is a Sink — so the journal, the metrics and the
+// /runz view are one derivation of one event stream.
 package telemetry
 
 import (
@@ -397,6 +401,11 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 // into — field access instead of name lookup keeps the hot path flat.
 // Obtain one with NewMetrics; a nil *Metrics (telemetry disabled) is
 // handled by View, whose zero value makes every handle a nil no-op.
+//
+// The per-execution and cache handles are fed by the worker hot paths.
+// The round, solver and fence handles are fed only by Emit, which folds
+// the coordinator's journal events; attaching a *Metrics to a run is
+// therefore also attaching it as a Sink.
 type Metrics struct {
 	Registry *Registry
 
@@ -433,8 +442,12 @@ type Metrics struct {
 
 	// Distributions.
 	ExecSteps    *Histogram // interpreter steps per execution
-	RoundWallUS  *Histogram // round wall time, microseconds
+	RoundWallUS  *Histogram // round execution batch + formula merge, microseconds
 	SolverWallUS *Histogram // solver enumeration wall time, microseconds
+
+	// run folds the /runz fields no metric carries. A pointer, so the
+	// copies View hands out share it.
+	run *runFold
 }
 
 // NewMetrics registers the standard DFENCE metric set on reg.
@@ -465,8 +478,9 @@ func NewMetrics(reg *Registry) *Metrics {
 		FencesInserted:     reg.NewCounter("dfence_fences_inserted", "fences enforced across rounds"),
 		FencesRemoved:      reg.NewCounter("dfence_fences_removed", "fences removed as redundant (validation + merge)"),
 		ExecSteps:          reg.NewHistogram("dfence_exec_steps", "interpreter transitions per execution", stepBounds),
-		RoundWallUS:        reg.NewHistogram("dfence_round_wall_us", "round wall time in microseconds", wallBounds),
+		RoundWallUS:        reg.NewHistogram("dfence_round_wall_us", "round execution batch plus formula merge (core.Round.Wall) in microseconds", wallBounds),
 		SolverWallUS:       reg.NewHistogram("dfence_solver_wall_us", "solver enumeration wall time in microseconds", wallBounds),
+		run:                &runFold{},
 	}
 }
 
@@ -478,4 +492,126 @@ func (m *Metrics) View() Metrics {
 		return Metrics{}
 	}
 	return *m
+}
+
+// maxRoundWallSamples bounds the per-round solve-time list RunStatus
+// carries; beyond it the list stops growing and Truncated counts the
+// overflow, so a pathological many-round run cannot grow /runz without
+// limit.
+const maxRoundWallSamples = 64
+
+// SolverStatus is the live solver section of /runz: cumulative effort
+// counters plus the per-round solve-time list (microseconds, in round
+// order, capped at maxRoundWallSamples).
+type SolverStatus struct {
+	Rounds       int     `json:"rounds"`
+	Models       int     `json:"models"`
+	Conflicts    int64   `json:"conflicts"`
+	Decisions    int64   `json:"decisions"`
+	Propagations int64   `json:"propagations"`
+	Restarts     int64   `json:"restarts"`
+	RoundWallUS  []int64 `json:"round_wall_us,omitempty"`
+	Truncated    int     `json:"round_wall_truncated,omitempty"`
+}
+
+// RunStatus is the live view /runz serves: where the run is and what it
+// has seen so far. Every field with a registered metric is read from that
+// metric (Metrics.Run); the rest are folded from the event stream.
+type RunStatus struct {
+	Round           int          `json:"round"`
+	Rounds          int          `json:"rounds_completed"`
+	Executions      int          `json:"executions"`
+	Violations      int          `json:"violations"`
+	Inconclusive    int          `json:"inconclusive"`
+	Skipped         int          `json:"skipped"`
+	DistinctClauses int          `json:"distinct_clauses"`
+	FencesInserted  int          `json:"fences_inserted"`
+	FencesRemoved   int          `json:"fences_removed"`
+	CacheHits       int          `json:"cache_hits"`
+	CacheMisses     int          `json:"cache_misses"`
+	Solver          SolverStatus `json:"solver"`
+	Outcome         string       `json:"outcome"` // "" while running
+}
+
+// runFold holds the RunStatus fields no metric carries: the synthesis
+// rounds' execution, violation and inconclusive counts (the execution
+// counters also count validation and redundancy trials), distinct
+// clauses, the solver round count and solve-time list, and the outcome.
+type runFold struct {
+	mu  sync.Mutex
+	cur RunStatus
+}
+
+// Emit implements Sink: the one fold of the synthesis loop's coordinator
+// events. Coordinator events are observed on shard 0.
+func (m *Metrics) Emit(e Event) {
+	switch ev := e.(type) {
+	case RoundStart:
+		m.CurrentRound.Set(int64(ev.Round))
+	case RoundEnd:
+		m.Rounds.Inc(0)
+		m.Skipped.Add(0, int64(ev.Skipped))
+		m.Predicates.Add(0, int64(ev.Predicates))
+		m.PrunedPredicates.Add(0, int64(ev.PrunedPreds))
+		m.RoundWallUS.Observe(0, ev.WallUS)
+		m.run.mu.Lock()
+		m.run.cur.Executions += ev.Executions
+		m.run.cur.Violations += ev.Violations
+		m.run.cur.Inconclusive += ev.Inconclusive
+		m.run.cur.DistinctClauses += ev.DistinctClauses
+		m.run.mu.Unlock()
+	case SolverResult:
+		m.SolverModels.Add(0, int64(ev.Models))
+		m.SolverConflicts.Add(0, ev.Conflicts)
+		m.SolverDecisions.Add(0, ev.Decisions)
+		m.SolverPropagations.Add(0, ev.Propagations)
+		m.SolverRestarts.Add(0, ev.Restarts)
+		m.SolverClauses.Add(0, int64(ev.Clauses))
+		m.SolverWallUS.Observe(0, ev.WallUS)
+		m.run.mu.Lock()
+		s := &m.run.cur.Solver
+		s.Rounds++
+		if len(s.RoundWallUS) < maxRoundWallSamples {
+			s.RoundWallUS = append(s.RoundWallUS, ev.WallUS)
+		} else {
+			s.Truncated++
+		}
+		m.run.mu.Unlock()
+	case FenceChange:
+		switch ev.Action {
+		case "insert":
+			m.FencesInserted.Add(0, int64(len(ev.Fences)))
+		case "drop-redundant":
+			m.FencesRemoved.Add(0, int64(len(ev.Fences)))
+		case "merge":
+			m.FencesRemoved.Add(0, int64(ev.Count))
+		}
+	case Converged:
+		m.run.mu.Lock()
+		m.run.cur.Outcome = ev.Outcome
+		m.run.mu.Unlock()
+	}
+}
+
+// Run returns the /runz view: the folded fields, with every metric-backed
+// field read from its handle. The solve-time list is copied so callers can
+// serialize it while Emit keeps appending.
+func (m *Metrics) Run() RunStatus {
+	m.run.mu.Lock()
+	out := m.run.cur
+	out.Solver.RoundWallUS = append([]int64(nil), m.run.cur.Solver.RoundWallUS...)
+	m.run.mu.Unlock()
+	out.Round = int(m.CurrentRound.Value())
+	out.Rounds = int(m.Rounds.Value())
+	out.Skipped = int(m.Skipped.Value())
+	out.FencesInserted = int(m.FencesInserted.Value())
+	out.FencesRemoved = int(m.FencesRemoved.Value())
+	out.CacheHits = int(m.CacheHits.Value())
+	out.CacheMisses = int(m.CacheMisses.Value())
+	out.Solver.Models = int(m.SolverModels.Value())
+	out.Solver.Conflicts = m.SolverConflicts.Value()
+	out.Solver.Decisions = m.SolverDecisions.Value()
+	out.Solver.Propagations = m.SolverPropagations.Value()
+	out.Solver.Restarts = m.SolverRestarts.Value()
+	return out
 }

@@ -157,3 +157,37 @@ func TestNilMetricsView(t *testing.T) {
 	v.ExecSteps.Observe(0, 100)
 	// Nothing to assert beyond "did not panic": all handles are nil no-ops.
 }
+
+// TestMetricsEmitFold: each fence action feeds its counter, and the /runz
+// solve-time list stops at maxRoundWallSamples while the solver counters
+// and the wall histogram keep counting every solve.
+func TestMetricsEmitFold(t *testing.T) {
+	m := NewMetrics(NewRegistry(1))
+	fence := Fence{After: 1, Label: 2, Kind: "fence(st-st)", Func: "f"}
+	m.Emit(FenceChange{Round: 1, Action: "insert", Fences: []Fence{fence, fence}})
+	m.Emit(FenceChange{Action: "drop-redundant", Fences: []Fence{fence}})
+	m.Emit(FenceChange{Action: "merge", Count: 3})
+	for i := 1; i <= maxRoundWallSamples+2; i++ {
+		m.Emit(RoundStart{Round: i})
+		m.Emit(SolverResult{Round: i, Models: 1, WallUS: int64(i)})
+		m.Emit(RoundEnd{Round: i, Executions: 10, WallUS: 5})
+	}
+	m.Emit(Converged{Outcome: "converged"})
+
+	if m.FencesInserted.Value() != 2 || m.FencesRemoved.Value() != 4 {
+		t.Errorf("fences inserted/removed = %d/%d, want 2/4", m.FencesInserted.Value(), m.FencesRemoved.Value())
+	}
+	run := m.Run()
+	n := maxRoundWallSamples + 2
+	if run.Round != n || run.Rounds != n || run.Executions != 10*n || run.Outcome != "converged" {
+		t.Errorf("run = %+v", run)
+	}
+	if s := run.Solver; s.Rounds != n || s.Models != n || len(s.RoundWallUS) != maxRoundWallSamples || s.Truncated != 2 {
+		t.Errorf("solver = %+v", s)
+	}
+	for _, h := range m.Registry.Snapshot().Histograms {
+		if h.Name == "dfence_solver_wall_us" && (h.Count != int64(n) || h.Sum != int64(n*(n+1)/2)) {
+			t.Errorf("solver wall histogram count/sum = %d/%d", h.Count, h.Sum)
+		}
+	}
+}

@@ -9,9 +9,10 @@
 //	/readyz        readiness (503 while draining or not yet ready)
 //	/debug/pprof/  the standard runtime profiles
 //
-// The server only reads — the registry merges shards on demand and the
-// Status sink hands out a copy under its lock — so serving concurrent
-// scrapes during a run is safe and costs the synthesis loop nothing.
+// The server only reads — the registry merges shards on demand and
+// Metrics.Run hands out a copy of the event fold under its lock — so
+// serving concurrent scrapes during a run is safe and costs the synthesis
+// loop nothing.
 package telemetry
 
 import (
@@ -24,12 +25,12 @@ import (
 	"time"
 )
 
-// Server exposes a Registry and a Status over HTTP. All fields are
-// optional: a nil Registry serves an empty /metrics, a nil Status an
-// empty run section in /runz, and a nil Ready makes /readyz always 200.
+// Server exposes a Metrics bundle over HTTP: its registry on /metrics,
+// its run view (Metrics.Run) and registry snapshot on /runz. All fields
+// are optional: a nil Metrics serves an empty /metrics and an empty /runz,
+// and a nil Ready makes /readyz always 200.
 type Server struct {
-	Registry *Registry
-	Status   *Status
+	Metrics *Metrics
 	// Ready, when non-nil, gates /readyz: a non-nil error serves 503 with
 	// the error text — how dfenced reports "draining" to load balancers.
 	Ready func() error
@@ -65,21 +66,18 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	reg := s.Registry
-	if reg == nil {
+	if s.Metrics == nil {
 		fmt.Fprint(w, "# EOF\n")
 		return
 	}
-	_ = reg.WriteOpenMetrics(w)
+	_ = s.Metrics.Registry.WriteOpenMetrics(w)
 }
 
 func (s *Server) serveRunz(w http.ResponseWriter, _ *http.Request) {
 	var p runzPayload
-	if s.Status != nil {
-		p.Run = s.Status.Snapshot()
-	}
-	if s.Registry != nil {
-		p.Metrics = s.Registry.Snapshot()
+	if s.Metrics != nil {
+		p.Run = s.Metrics.Run()
+		p.Metrics = s.Metrics.Registry.Snapshot()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -14,13 +14,14 @@ func serverFixture() *Server {
 	m := NewMetrics(reg)
 	m.Executions.Add(0, 100)
 	m.Violations.Add(1, 7)
-	st := &Status{}
-	st.Emit(RoundStart{Round: 1})
-	st.Emit(SolverResult{Round: 1, Models: 3, Conflicts: 5, Decisions: 40, Propagations: 200, Restarts: 1, WallUS: 120})
-	st.Emit(RoundEnd{Round: 1, Executions: 100, Violations: 7, DistinctClauses: 2})
-	st.Emit(FenceChange{Round: 1, Action: "insert", Fences: []Fence{{After: 1, Label: 9, Kind: "fence", Func: "f"}}})
-	st.Emit(Converged{Outcome: "converged", CacheHits: 90, CacheMisses: 10})
-	return &Server{Registry: reg, Status: st}
+	m.CacheHits.Add(0, 90)
+	m.CacheMisses.Add(1, 10)
+	m.Emit(RoundStart{Round: 1})
+	m.Emit(SolverResult{Round: 1, Models: 3, Conflicts: 5, Decisions: 40, Propagations: 200, Restarts: 1, WallUS: 120})
+	m.Emit(RoundEnd{Round: 1, Executions: 100, Violations: 7, DistinctClauses: 2})
+	m.Emit(FenceChange{Round: 1, Action: "insert", Fences: []Fence{{After: 1, Label: 9, Kind: "fence", Func: "f"}}})
+	m.Emit(Converged{Outcome: "converged"})
+	return &Server{Metrics: m}
 }
 
 func get(t *testing.T, h http.Handler, path string) (int, string) {
@@ -95,7 +96,7 @@ func TestServerPprofAndIndex(t *testing.T) {
 	}
 }
 
-// TestServerEmpty: a server with neither registry nor status must serve
+// TestServerEmpty: a server without a Metrics bundle must serve
 // valid empty responses, not nil-pointer panics.
 func TestServerEmpty(t *testing.T) {
 	h := (&Server{}).Handler()
