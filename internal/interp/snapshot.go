@@ -1,8 +1,9 @@
 // State fingerprinting for exhaustive-exploration clients. The brute-force
-// interleaving enumerator (internal/proggen) replays choice prefixes on a
-// pooled Machine and prunes any prefix that lands in a machine state it has
-// already expanded; that needs a canonical byte encoding of *all* state
-// that can influence either future transitions or the recorded outcome.
+// interleaving enumerator (internal/proggen) walks machine states depth-
+// first, restoring saved states with Machine.CopyFrom, and prunes any path
+// that lands in a machine state it has already expanded; that needs a
+// canonical byte encoding of *all* state that can influence either future
+// transitions or the recorded outcome.
 // The encoding lives here because frames, buffers, and the memory image
 // are unexported.
 package interp

@@ -1,7 +1,9 @@
 package memmodel
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +281,73 @@ func TestQuickLenInvariant(t *testing.T) {
 func TestModelString(t *testing.T) {
 	if SC.String() != "SC" || TSO.String() != "TSO" || PSO.String() != "PSO" {
 		t.Error("model names wrong")
+	}
+}
+
+// bufState renders everything observable about b's pending content.
+func bufState(b *Buffers) string {
+	return fmt.Sprintf("model=%v len=%d epoch=%d flushable=%v all=%+v",
+		b.Model(), b.Len(), b.Epoch(), b.FlushableAddrs(), b.All())
+}
+
+// TestBuffersCopyFrom checks that a copy holds exactly the source's
+// pending entries, epochs and drain order — dense and psoWild addresses
+// alike — that stale content of the destination is gone, and that the
+// two stay independent afterwards.
+func TestBuffersCopyFrom(t *testing.T) {
+	wild := []int64{denseAddrCap + 5, -7}
+	for _, m := range []Model{TSO, PSO, RMO} {
+		src := New(m)
+		src.Put(10, 1, 100)
+		src.Put(20, 2, 101)
+		src.FlushOldest(10) // a popped head: the copy starts past it
+		src.Barrier()
+		src.Put(10, 3, 102)
+		src.Put(wild[0], 4, 103)
+		src.Barrier()
+		src.Put(wild[1], 5, 104)
+		src.Put(30, 6, 105)
+		if m != TSO && src.Epoch() != 2 {
+			t.Fatalf("%v: source epoch %d, want 2", m, src.Epoch())
+		}
+
+		// The destination starts under another model with stale entries
+		// at addresses the source does not buffer.
+		dst := New(PSO)
+		if m == PSO {
+			dst = New(TSO)
+		}
+		dst.Put(40, 7, 106)
+		dst.Put(denseAddrCap+9, 8, 107)
+		dst.CopyFrom(src)
+		want := bufState(src)
+		if got := bufState(dst); got != want {
+			t.Fatalf("%v: copy\n%s\nwant\n%s", m, got, want)
+		}
+		for _, a := range []int64{40, denseAddrCap + 9} {
+			if _, ok := dst.Lookup(a); ok {
+				t.Errorf("%v: stale destination entry at %d survived the copy", m, a)
+			}
+		}
+		for i, a := range wild {
+			if v, ok := dst.Lookup(a); !ok || v != int64(4+i) {
+				t.Errorf("%v: Lookup(%d) on the copy = %d,%v want %d,true", m, a, v, ok, 4+i)
+			}
+		}
+
+		// Draining the copy commits in the source's order and leaves the
+		// source untouched; so does a later Put on the source.
+		drained := dst.Drain()
+		if got := bufState(src); got != want {
+			t.Fatalf("%v: draining the copy changed the source:\n%s\nwant\n%s", m, got, want)
+		}
+		if order := src.Drain(); !reflect.DeepEqual(drained, order) {
+			t.Errorf("%v: copy drained %+v, source %+v", m, drained, order)
+		}
+		dst.CopyFrom(src)
+		src.Put(10, 9, 108)
+		if !dst.Empty() {
+			t.Errorf("%v: a Put on the source reached an empty copy: %+v", m, dst.All())
+		}
 	}
 }

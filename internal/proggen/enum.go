@@ -6,13 +6,15 @@ package proggen
 // the oldest buffered store for address a", and (under load-deferring
 // models) "thread tid resolves its idx-th deferred load" — so a program's
 // full behavior space is the tree of finite choice sequences. The enumerator
-// walks that tree by depth-first replay: a pooled Machine is Reset and
-// the choice prefix re-applied (the Machine has no snapshot/undo), and
-// each decision point is fingerprinted with Machine.AppendStateKey so any
-// prefix reaching an already-expanded state is pruned. With memoization
-// the cost is O(|states| × branching × replay-depth), which is what keeps
-// litmus-sized programs (a few thousand states) enumerable in
-// milliseconds.
+// walks that tree depth-first over concrete machine states: a state with
+// several transitions is saved into a pooled per-depth snapshot
+// (Machine.CopyFrom), and each transition after the first restores a
+// copy of it and applies just that one choice — no prefix is ever
+// re-executed. Each decision point is fingerprinted with
+// Machine.AppendStateKey so any path reaching an already-expanded state
+// is pruned. With memoization the cost is O(|states| × branching) machine
+// copies and transitions, which is what keeps litmus-sized programs (a few
+// thousand states) enumerable in milliseconds.
 //
 // Two reductions keep the tree small without losing outcomes:
 //
@@ -55,7 +57,7 @@ type EnumOptions struct {
 	// MaxStates bounds the number of distinct decision-point states
 	// expanded (default 60000).
 	MaxStates int
-	// MaxSteps bounds machine steps along any single replay (default
+	// MaxSteps bounds machine steps along any single path (default
 	// 20000) — a backstop; generated programs terminate long before it.
 	MaxSteps int
 	// LocalRun bounds the local-run collapse (default 128).
@@ -132,20 +134,31 @@ func violationString(v *interp.Violation) string {
 	return fmt.Sprintf("%v@L%d: %s", v.Kind, v.Label, v.Msg)
 }
 
-// enumerator holds the replay machinery for one Enumerate call.
+// enumerator holds the snapshot machinery for one Enumerate call: cur is
+// the machine the walk mutates, and snaps[d] holds the state of the d-th
+// branching node on the current DFS path — one pooled Machine per
+// branching depth, reused across the whole walk.
 type enumerator struct {
 	c     *interp.Compiled
 	model memmodel.Model
 	opts  EnumOptions
-	m     interp.Machine
+	cur   *interp.Machine
+	snaps []*interp.Machine
 	key   []byte
+}
+
+// branch is a state on the current DFS path with untried transitions:
+// chs[next:end] of the choice stack, each applied to a copy of the
+// state's snapshot. Its own transitions occupy chs[start:end].
+type branch struct {
+	start, next, end int
 }
 
 // Enumerate explores every schedule of prog under model within the
 // budgets. prog must be linked.
 func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumResult {
 	opts.fill()
-	e := &enumerator{c: interp.Compile(prog), model: model, opts: opts}
+	e := &enumerator{c: interp.Compile(prog), model: model, opts: opts, cur: &interp.Machine{}}
 	res := &EnumResult{
 		Model:      model,
 		Outcomes:   make(map[string]bool),
@@ -153,95 +166,131 @@ func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumRe
 		Complete:   true,
 	}
 
+	// Depth-first over machine states. A state is checked when it is
+	// reached, and a state's transitions are taken in their natural
+	// order — the expansion order of an explicit stack of choice paths
+	// with pop-time dedup, which under the MaxStates budget decides which
+	// states get counted.
 	seen := make(map[string]struct{})
-	// DFS over choice prefixes. Each stack entry owns its backing array
-	// (paths are copied on push), so popping cannot alias a sibling.
-	stack := [][]choice{nil}
-	var scratch []choice
-	for len(stack) > 0 {
-		last := len(stack) - 1
-		path := stack[last]
-		stack = stack[:last]
-
-		overBudget := e.replay(path)
-		if overBudget {
-			res.Complete = false
-			continue
-		}
-		e.key = e.m.AppendStateKey(e.key[:0])
-		if _, dup := seen[string(e.key)]; dup {
-			continue
-		}
-		if res.States >= e.opts.MaxStates {
-			res.Complete = false
-			// Keep draining the stack cheaply? No: once the state budget
-			// trips, further expansion cannot restore completeness — stop.
+	var chs []choice  // transitions of the states on the path
+	var path []branch // branching states on the path, each with a sibling left
+	e.cur.Reset(e.c, e.model, nil)
+	for {
+		start := len(chs)
+		var stop bool
+		if chs, stop = e.expand(res, seen, chs); stop {
 			break
 		}
-		seen[string(e.key)] = struct{}{}
-		res.States++
-
-		if e.m.Done() {
-			res.Paths++
-			if v := e.m.Violation(); v != nil {
-				res.Violations[violationString(v)] = true
-			} else {
-				res.Outcomes[OutcomeString(e.m.Output(), e.m.ExitCode())] = true
-			}
+		switch len(chs) - start {
+		case 0:
+			// Terminal, already expanded, or over the step budget.
+		case 1:
+			// A single transition needs no snapshot: take it in place.
+			ch := chs[start]
+			chs = chs[:start]
+			e.apply(ch)
+			continue
+		default:
+			e.snapshot(len(path)).CopyFrom(e.cur)
+			path = append(path, branch{start: start, next: start + 1, end: len(chs)})
+			e.apply(chs[start])
 			continue
 		}
-
-		scratch = e.choices(scratch[:0])
-		if len(scratch) == 0 {
-			// No transition possible and not Done: a deadlock terminal
-			// (e.g. a join on a thread that can never finish).
-			res.Paths++
-			res.Violations[violationString(&interp.Violation{
-				Kind:  interp.VDeadlock,
-				Label: ir.NoLabel,
-				Msg:   "no thread can make progress",
-			})] = true
-			continue
+		// Backtrack to the deepest branching state and take its next
+		// transition from a copy of its snapshot. The last one takes the
+		// snapshot itself (it is not needed again) and retires the node.
+		if len(path) == 0 {
+			break
 		}
-		// Push in reverse so choices explore in their natural order.
-		for i := len(scratch) - 1; i >= 0; i-- {
-			next := make([]choice, len(path)+1)
-			copy(next, path)
-			next[len(path)] = scratch[i]
-			stack = append(stack, next)
+		d := len(path) - 1
+		b := &path[d]
+		ch := chs[b.next]
+		b.next++
+		if b.next == b.end {
+			e.cur, e.snaps[d] = e.snaps[d], e.cur
+			chs = chs[:b.start]
+			path = path[:d]
+		} else {
+			e.cur.CopyFrom(e.snaps[d])
 		}
+		e.apply(ch)
 	}
 	return res
 }
 
-// replay resets the machine and re-applies a choice prefix, reporting
-// whether the step budget tripped.
-func (e *enumerator) replay(path []choice) (overBudget bool) {
-	m := &e.m
-	m.Reset(e.c, e.model, nil)
-	for _, ch := range path {
-		if ch.flush {
-			m.FlushOne(ch.tid, ch.addr)
-		} else if ch.resolve {
-			m.ResolveOne(ch.tid, ch.idx)
+// snapshot returns the pooled snapshot machine of branching depth d.
+func (e *enumerator) snapshot(d int) *interp.Machine {
+	if d == len(e.snaps) {
+		e.snaps = append(e.snaps, &interp.Machine{})
+	}
+	return e.snaps[d]
+}
+
+// expand accounts for the state the walk just reached and appends its
+// transitions to dst — none when the state is terminal, was expanded
+// before, or lies past the step budget. stop reports that the state
+// budget tripped: further expansion cannot restore completeness.
+func (e *enumerator) expand(res *EnumResult, seen map[string]struct{}, dst []choice) (_ []choice, stop bool) {
+	m := e.cur
+	if m.Steps() >= e.opts.MaxSteps {
+		res.Complete = false
+		return dst, false
+	}
+	e.key = m.AppendStateKey(e.key[:0])
+	if _, dup := seen[string(e.key)]; dup {
+		return dst, false
+	}
+	if res.States >= e.opts.MaxStates {
+		res.Complete = false
+		return dst, true
+	}
+	seen[string(e.key)] = struct{}{}
+	res.States++
+
+	if m.Done() {
+		res.Paths++
+		if v := m.Violation(); v != nil {
+			res.Violations[violationString(v)] = true
 		} else {
-			kind := m.StepThread(ch.tid)
-			// Local-run collapse (mirrors sched.Run's POR window): a
-			// thread that only touched registers or thread-local memory
-			// keeps going — interleaving those steps cannot change any
-			// observable outcome.
-			for n := 0; kind == interp.StepLocal && n < e.opts.LocalRun; n++ {
-				if m.Violation() != nil || !m.CanExec(ch.tid) {
-					break
-				}
-				kind = m.StepThread(ch.tid)
-			}
+			res.Outcomes[OutcomeString(m.Output(), m.ExitCode())] = true
 		}
-		if m.Steps() >= e.opts.MaxSteps {
-			return true
+		return dst, false
+	}
+	n := len(dst)
+	dst = e.choices(dst)
+	if len(dst) == n {
+		// No transition possible and not Done: a deadlock terminal
+		// (e.g. a join on a thread that can never finish).
+		res.Paths++
+		res.Violations[violationString(&interp.Violation{
+			Kind:  interp.VDeadlock,
+			Label: ir.NoLabel,
+			Msg:   "no thread can make progress",
+		})] = true
+	}
+	return dst, false
+}
+
+// apply takes one transition on the working machine.
+func (e *enumerator) apply(ch choice) {
+	m := e.cur
+	switch {
+	case ch.flush:
+		m.FlushOne(ch.tid, ch.addr)
+	case ch.resolve:
+		m.ResolveOne(ch.tid, ch.idx)
+	default:
+		kind := m.StepThread(ch.tid)
+		// Local-run collapse (mirrors sched.Run's POR window): a thread
+		// that only touched registers or thread-local memory keeps going —
+		// interleaving those steps cannot change any observable outcome.
+		for n := 0; kind == interp.StepLocal && n < e.opts.LocalRun; n++ {
+			if m.Violation() != nil || !m.CanExec(ch.tid) {
+				break
+			}
+			kind = m.StepThread(ch.tid)
 		}
 	}
-	return false
 }
 
 // choices enumerates the transitions available at the machine's current
@@ -254,7 +303,7 @@ func (e *enumerator) replay(path []choice) (overBudget bool) {
 // reordering the deferring models exhibit, so skipping indices would
 // prune reachable outcomes.
 func (e *enumerator) choices(dst []choice) []choice {
-	m := &e.m
+	m := e.cur
 	n := m.NumThreads()
 	for tid := 0; tid < n; tid++ {
 		if m.CanExec(tid) {
@@ -265,9 +314,9 @@ func (e *enumerator) choices(dst []choice) []choice {
 		if !m.CanFlush(tid) {
 			continue
 		}
-		// FlushableAddrs copies; the view would be invalidated by nothing
-		// here, but the copy keeps this loop obviously safe.
-		for _, addr := range m.Thread(tid).Buffers().FlushableAddrs() {
+		// The view is safe: its addresses are copied into the choices
+		// before anything mutates the buffers.
+		for _, addr := range m.Thread(tid).Buffers().FlushableAddrsView() {
 			dst = append(dst, choice{tid: tid, flush: true, addr: addr})
 		}
 	}

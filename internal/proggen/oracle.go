@@ -34,8 +34,9 @@ package proggen
 //	                    them twice is a defect, not bad luck. For RANDOM
 //	                    programs the same situation is a soft finding
 //	                    (SamplingMisses + note): enumeration violations
-//	                    are concrete machine replays, every machine path
-//	                    has positive probability under the scheduler, and
+//	                    are reached by concrete machine transitions, every
+//	                    machine path has positive probability under the
+//	                    scheduler, and
 //	                    random programs can push that probability into an
 //	                    arbitrarily deep tail (observed at ~1e-3/exec);
 //	                    a reachability burst annotates the note with how
@@ -152,8 +153,9 @@ type FuzzReport struct {
 	Escalated int // synthesis retries at a raised budget
 	// SamplingMisses counts random programs whose escalated synthesis
 	// still converged under-fenced: the repair loop's budget missed a
-	// rare-but-reachable schedule (enumeration witnesses are concrete
-	// machine replays, so the residual is always reachable in principle).
+	// rare-but-reachable schedule (enumeration witnesses are reached by
+	// concrete machine transitions, so the residual is always reachable in
+	// principle).
 	// Expected occasionally on random programs; the same situation on a
 	// template gates as insufficient-fences instead.
 	SamplingMisses int
@@ -583,10 +585,11 @@ func (f *fuzzer) checkSynthesis(p *Prog, prog *ir.Program, idx int, model memmod
 	// violating family is the critical cycle itself — a short schedule the
 	// demonic scheduler hits with high probability — so converging past it
 	// twice means synthesis (or the scheduler's distribution) is broken.
-	// Random programs do not gate: an enumeration violation is a concrete
-	// machine replay, every machine path has positive probability under
-	// the scheduler, and random programs can push the residual into an
-	// arbitrarily deep tail (#27 of seed 1 needs ~1e-3/exec luck twice).
+	// Random programs do not gate: an enumeration violation is reached by
+	// concrete machine transitions, every machine path has positive
+	// probability under the scheduler, and random programs can push the
+	// residual into an arbitrarily deep tail (#27 of seed 1 needs
+	// ~1e-3/exec luck twice).
 	// That is the documented under-approximation of dynamic synthesis, so
 	// it is counted and noted, with a reachability burst measuring how
 	// deep the tail actually is.
