@@ -85,9 +85,10 @@ build:
 test:
 	$(GO) test ./...
 
-# internal/proggen's enumeration tests take ~12 minutes under -race on a
-# 2-vCPU machine (731 s measured, the other packages alongside), past go
-# test's 10-minute default; 30m leaves ~2.5x headroom.
+# internal/proggen's enumeration tests are the longest package under
+# -race: 216 s on a 2-vCPU machine, the other packages alongside (262 s
+# for the whole target). The explicit 30m keeps a slow runner clear of
+# go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 30m ./...
 
