@@ -22,6 +22,8 @@
 //	-j       parallel workers for the execution engine (default NumCPU)
 //	-validate  prune redundant fences after convergence (default true)
 //	-disasm  print the compiled IR and exit
+//	-optimize  run the IR optimizer (fold/propagate/DCE) first; the journal
+//	         records it, so -resume and explain rebuild the optimized program
 //	-builtin use a built-in benchmark instead of a file (e.g. chase-lev)
 //	-static  consult the static delay-set analysis: converge with zero
 //	         executions when the delay set is empty, and prune proposed
@@ -104,10 +106,8 @@ import (
 
 	"dfence/internal/core"
 	"dfence/internal/ir"
-	"dfence/internal/lang"
 	"dfence/internal/memmodel"
 	"dfence/internal/profiling"
-	"dfence/internal/progs"
 	"dfence/internal/spec"
 	"dfence/internal/staticanalysis"
 	"dfence/internal/synth"
@@ -177,13 +177,14 @@ func main() {
 		os.Exit(code)
 	}
 
+	workers := *jobs
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
 	var (
+		start   telemetry.RunStart
 		prog    *ir.Program
-		src     string
-		model   memmodel.Model
-		crit    spec.Criterion
 		cfg     core.Config
-		seqName string
 		journal *telemetry.Journal
 	)
 	resuming := *resumeF != ""
@@ -192,91 +193,56 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dfence: -resume cannot be combined with -disasm or -redundant")
 			exit(1)
 		}
-		var rr resumedRun
-		rr, err = openResume(*resumeF)
+		prog, cfg, journal, err = openResume(*resumeF)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dfence:", err)
 			exit(1)
 		}
-		prog, src = rr.prog, rr.start.Source
-		model, crit, cfg = rr.model, rr.crit, rr.cfg
-		seqName, journal = rr.start.SeqSpec, rr.journal
-		cfg.Workers = *jobs
-		cfg.ExecTimeout, cfg.Deadline = *execTO, *deadline
-		if rr.state != nil {
+		if rs := cfg.Resume; rs != nil {
 			fmt.Fprintf(os.Stderr, "resuming after round %d (%d executions journaled)\n",
-				rr.state.Round, rr.state.TotalExecutions)
+				rs.Round, rs.TotalExecutions)
 		} else {
 			fmt.Fprintln(os.Stderr, "journal has no checkpoint; starting over from round 1")
 		}
 	} else {
-		var benchmark *progs.Benchmark
-		prog, src, benchmark, err = loadProgram(*builtin, flag.Args())
+		model, err := memmodel.ParseModel(*modelF)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dfence:", err)
 			exit(1)
 		}
-		if *optimize {
-			removed := ir.Optimize(prog)
-			fmt.Fprintf(os.Stderr, "optimizer removed %d instructions\n", removed)
+		start = telemetry.RunStart{
+			Model:         model.String(),
+			Criterion:     *specF,
+			SeqSpec:       *seqF,
+			Seed:          *seed,
+			Execs:         *execs,
+			MaxRounds:     *rounds,
+			FlushProb:     core.EffectiveFlushProb(*flushP, model),
+			Workers:       workers,
+			Validate:      *validate,
+			Static:        *static,
+			CAS:           *withCAS,
+			MinConclusive: *minConc,
+			MaxModels:     *maxMod,
+			MaxIters:      *maxIters,
+			Optimize:      *optimize,
+		}
+		prog, cfg, err = loadRun(&start, *builtin, flag.Args())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dfence:", err)
+			exit(1)
 		}
 		if *disasm {
 			fmt.Print(prog.Disasm())
 			return
 		}
-
-		model, err = memmodel.ParseModel(*modelF)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dfence:", err)
-			exit(1)
-		}
-		var ok bool
-		crit, ok = spec.ParseCriterion(*specF)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "dfence: unknown criterion %q (want safety, sc, lin)\n", *specF)
-			exit(1)
-		}
-
-		cfg = core.Config{
-			Model:           model,
-			Criterion:       crit,
-			ExecsPerRound:   *execs,
-			MaxRounds:       *rounds,
-			FlushProb:       *flushP,
-			Seed:            *seed,
-			Workers:         *jobs,
-			ValidateFences:  *validate,
-			EnforceWithCAS:  *withCAS,
-			ExecTimeout:     *execTO,
-			Deadline:        *deadline,
-			MinConclusive:   *minConc,
-			MaxModels:       *maxMod,
-			MaxItersPerExec: *maxIters,
-			StaticPrune:     *static,
-		}
-		if benchmark != nil {
-			cfg.NewSpec = benchmark.NewSpec()
-			cfg.CheckGarbage = benchmark.CheckGarbage
-			cfg.RelaxStealAborts = benchmark.RelaxStealAborts
-			seqName = benchmark.SpecName
-		} else if crit != spec.MemorySafety {
-			newSpec, err := spec.ByName(*seqF)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dfence:", err)
-				exit(1)
-			}
-			cfg.NewSpec = newSpec
-			seqName = *seqF
-		}
 	}
+	cfg.Workers = workers
+	cfg.ExecTimeout, cfg.Deadline = *execTO, *deadline
 
 	// Telemetry setup. The witness capture sink always runs (it is two
 	// type switches per cold event); metrics only when something will read
 	// them, and the journal/server only on request.
-	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	wc := &witnessCapture{}
 	sinks := []telemetry.Sink{wc}
 	if !resuming && *journalF != "" {
@@ -346,7 +312,7 @@ func main() {
 			exit(1)
 		}
 		fmt.Printf("fences in program: %d\n", len(prog.Fences()))
-		fmt.Printf("redundant under %v/%v: %d\n", model, crit, len(labels))
+		fmt.Printf("redundant under %v/%v: %d\n", cfg.Model, cfg.Criterion, len(labels))
 		for _, l := range labels {
 			in := prog.InstrAt(l)
 			fn := prog.FuncOf(l)
@@ -357,24 +323,7 @@ func main() {
 	}
 
 	if !resuming {
-		telemetry.Emit(cfg.Sink, telemetry.RunStart{
-			Model:         model.String(),
-			Criterion:     crit.String(),
-			SeqSpec:       seqName,
-			Seed:          *seed,
-			Execs:         *execs,
-			MaxRounds:     *rounds,
-			FlushProb:     effectiveFlushProb(*flushP, model),
-			Workers:       workers,
-			Source:        src,
-			Builtin:       *builtin,
-			Validate:      *validate,
-			Static:        *static,
-			CAS:           *withCAS,
-			MinConclusive: *minConc,
-			MaxModels:     *maxMod,
-			MaxIters:      *maxIters,
-		})
+		telemetry.Emit(cfg.Sink, start)
 	}
 
 	// First SIGINT: stop at the next round boundary (the journal then ends
@@ -401,7 +350,7 @@ func main() {
 		finishTelemetry()
 		exit(1)
 	}
-	report(res, model, crit)
+	report(res, cfg.Model, cfg.Criterion)
 	if res.Interrupted {
 		jpath := *journalF
 		if resuming {
@@ -440,134 +389,45 @@ func main() {
 	}
 }
 
-// resumedRun is everything openResume reconstructs from a journal.
-type resumedRun struct {
-	prog    *ir.Program
-	start   *telemetry.RunStart
-	model   memmodel.Model
-	crit    spec.Criterion
-	cfg     core.Config
-	state   *core.ResumeState
-	journal *telemetry.Journal
-}
-
 // openResume rebuilds an interrupted run from its journal: the program
-// from the embedded source or builtin name, the determinism-relevant
-// configuration from the RunStart record, and the synthesis position from
-// the last checkpoint. The journal is truncated past that checkpoint
-// (dropping any torn tail a crash left) and reopened for appending, so
-// the resumed run continues the same file.
-func openResume(path string) (resumedRun, error) {
-	var rr resumedRun
-
+// and configuration from the RunStart record (core.Load), and the
+// synthesis position from the last checkpoint (cfg.Resume). The journal
+// is truncated past that checkpoint (dropping any torn tail a crash left)
+// and reopened for appending, so the resumed run continues the same file.
+func openResume(path string) (prog *ir.Program, cfg core.Config, journal *telemetry.Journal, err error) {
 	// Lenient pre-read to reject journals that already record a finished
 	// run — ResumeJournal would otherwise truncate a completed journal
 	// back to its last checkpoint and re-run the tail.
 	f, err := os.Open(path)
 	if err != nil {
-		return rr, err
+		return
 	}
 	events, _, err := telemetry.ReadJournalOptions(f, telemetry.ReadOptions{AllowTornTail: true})
 	f.Close()
 	if err != nil {
-		return rr, err
+		return
 	}
 	jr := telemetry.SummarizeJournal(events)
 	if jr.Start == nil {
-		return rr, fmt.Errorf("%s: journal has no RunStart event; nothing to resume", path)
+		err = fmt.Errorf("%s: journal has no RunStart event; nothing to resume", path)
+		return
 	}
 	if jr.Converged != nil && jr.Converged.Outcome != core.OutcomeAborted.String() {
-		return rr, fmt.Errorf("%s: journal records a completed run (outcome %s); nothing to resume", path, jr.Converged.Outcome)
+		err = fmt.Errorf("%s: journal records a completed run (outcome %s); nothing to resume", path, jr.Converged.Outcome)
+		return
 	}
-	rr.start = jr.Start
-
-	rr.model, err = memmodel.ParseModel(jr.Start.Model)
-	if err != nil {
-		return rr, err
+	if prog, cfg, err = core.Load(jr.Start); err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+		return
 	}
-	var ok bool
-	rr.crit, ok = spec.ParseCriterion(jr.Start.Criterion)
-	if !ok {
-		return rr, fmt.Errorf("%s: journal has unknown criterion %q", path, jr.Start.Criterion)
-	}
-	var benchmark *progs.Benchmark
-	switch {
-	case jr.Start.Source != "":
-		rr.prog, err = lang.Compile(jr.Start.Source)
-		if err != nil {
-			return rr, fmt.Errorf("recompiling journaled source: %w", err)
-		}
-	case jr.Start.Builtin != "":
-		benchmark, err = progs.ByName(jr.Start.Builtin)
-		if err != nil {
-			return rr, err
-		}
-		rr.prog = benchmark.Program()
-	default:
-		return rr, fmt.Errorf("%s: journal carries neither source nor builtin name; cannot rebuild the program", path)
-	}
-
-	// RunStart.FlushProb is the probability the run actually used
-	// (effectiveFlushProb), so 0 can only mean "never flush early" — the
-	// config spells that with a negative sentinel.
-	flush := jr.Start.FlushProb
-	if flush == 0 {
-		flush = -1
-	}
-	rr.cfg = core.Config{
-		Model:           rr.model,
-		Criterion:       rr.crit,
-		ExecsPerRound:   jr.Start.Execs,
-		MaxRounds:       jr.Start.MaxRounds,
-		FlushProb:       flush,
-		Seed:            jr.Start.Seed,
-		ValidateFences:  jr.Start.Validate,
-		StaticPrune:     jr.Start.Static,
-		EnforceWithCAS:  jr.Start.CAS,
-		MinConclusive:   jr.Start.MinConclusive,
-		MaxModels:       jr.Start.MaxModels,
-		MaxStepsPerExec: jr.Start.MaxSteps,
-		MaxItersPerExec: jr.Start.MaxIters,
-	}
-	if benchmark != nil {
-		rr.cfg.NewSpec = benchmark.NewSpec()
-		rr.cfg.CheckGarbage = benchmark.CheckGarbage
-		rr.cfg.RelaxStealAborts = benchmark.RelaxStealAborts
-	} else if rr.crit != spec.MemorySafety {
-		newSpec, err := spec.ByName(jr.Start.SeqSpec)
-		if err != nil {
-			return rr, err
-		}
-		rr.cfg.NewSpec = newSpec
-	}
-
 	journal, kept, err := telemetry.ResumeJournal(path)
 	if err != nil {
-		return rr, err
+		return
 	}
-	rr.state, err = core.ResumeFromEvents(kept)
-	if err != nil {
+	if cfg.Resume, err = core.ResumeFromEvents(kept); err != nil {
 		journal.Close()
-		return rr, err
 	}
-	rr.cfg.Resume = rr.state
-	rr.journal = journal
-	return rr, nil
-}
-
-// effectiveFlushProb resolves the -flush flag the way core.Config.fill
-// does, so the journal records the probability the run actually used.
-func effectiveFlushProb(p float64, model memmodel.Model) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p == 0 {
-		if model == memmodel.TSO {
-			return 0.1
-		}
-		return 0.5
-	}
-	return p
+	return
 }
 
 // witnessCapture remembers the first journaled Violation that carries a
@@ -625,25 +485,9 @@ func runExplain(args []string) {
 	if jr.Start == nil {
 		fail(fmt.Errorf("%s: journal has no RunStart event", fs.Arg(0)))
 	}
-	model, err := memmodel.ParseModel(jr.Start.Model)
+	prog, cfg, err := core.Load(jr.Start)
 	if err != nil {
-		fail(err)
-	}
-	var prog *ir.Program
-	switch {
-	case jr.Start.Source != "":
-		prog, err = lang.Compile(jr.Start.Source)
-		if err != nil {
-			fail(fmt.Errorf("recompiling journaled source: %w", err))
-		}
-	case jr.Start.Builtin != "":
-		b, berr := progs.ByName(jr.Start.Builtin)
-		if berr != nil {
-			fail(berr)
-		}
-		prog = b.Program()
-	default:
-		fail(fmt.Errorf("%s: journal carries neither source nor builtin name; cannot rebuild the program", fs.Arg(0)))
+		fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
 	}
 
 	wits := jr.Witnesses()
@@ -671,7 +515,7 @@ func runExplain(args []string) {
 				fail(ferr)
 			}
 		}
-		txt, eerr := telemetry.ExplainWitness(p, telemetry.TraceFrom(v.Trace, model), telemetry.ExplainOptions{
+		txt, eerr := telemetry.ExplainWitness(p, telemetry.TraceFrom(v.Trace, cfg.Model), telemetry.ExplainOptions{
 			Round:       v.Round,
 			Seed:        v.Seed,
 			Desc:        v.Desc,
@@ -706,23 +550,19 @@ func runAnalyze(args []string) {
 	}
 	fs.Parse(args)
 
-	model, err := memmodel.ParseModel(*modelF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfence analyze:", err)
-		os.Exit(1)
-	}
-	prog, _, _, err := loadProgram(*builtin, fs.Args())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfence analyze:", err)
-		os.Exit(1)
-	}
 	// Always canonicalize: lowering materializes a copy of every loaded
 	// value, and under load-deferring models that copy is a dependency
 	// that kills every ld-class delay pair — for the analysis and the
 	// interpreter alike, so analyzing raw lowered IR silently reports
 	// load-relaxed programs robust. The fuzz corpus optimizes for the
 	// same reason (proggen.Prog.Compile).
-	ir.Optimize(prog)
+	start := telemetry.RunStart{Model: *modelF, Criterion: "safety", Optimize: true}
+	prog, cfg, err := loadRun(&start, *builtin, fs.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dfence analyze:", err)
+		os.Exit(1)
+	}
+	model := cfg.Model
 	if *fix {
 		fr, err := staticanalysis.Fix(prog, model)
 		if err != nil {
@@ -763,29 +603,28 @@ func analyzeFatal(err error) {
 	os.Exit(1)
 }
 
-// loadProgram resolves -builtin or a source path. The returned src is the
-// mini-C text for file runs ("" for builtins) — what RunStart embeds so
-// `dfence explain` can rebuild the program from the journal alone.
-func loadProgram(builtin string, args []string) (*ir.Program, string, *progs.Benchmark, error) {
+// loadRun completes start with the program a command line names — the
+// -builtin benchmark, or the text of the one mini-C file argument, which
+// RunStart embeds so explain and -resume need only the journal — and
+// loads it.
+func loadRun(start *telemetry.RunStart, builtin string, args []string) (prog *ir.Program, cfg core.Config, err error) {
 	if builtin != "" {
-		b, err := progs.ByName(builtin)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return b.Program(), "", b, nil
+		start.Builtin = builtin
+		return core.Load(start)
 	}
 	if len(args) != 1 {
-		return nil, "", nil, fmt.Errorf("usage: dfence [flags] program.mc (or -builtin name)")
+		err = fmt.Errorf("usage: dfence [flags] program.mc (or -builtin name)")
+		return
 	}
 	src, err := os.ReadFile(args[0])
 	if err != nil {
-		return nil, "", nil, err
+		return
 	}
-	prog, err := lang.Compile(string(src))
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("%s: %w", args[0], err)
+	start.Source = string(src)
+	if prog, cfg, err = core.Load(start); err != nil {
+		err = fmt.Errorf("%s: %w", args[0], err)
 	}
-	return prog, string(src), nil, nil
+	return
 }
 
 // report prints the run header and delegates the body to the unified

@@ -55,7 +55,7 @@ type Config struct {
 	// ≈0.5 for PSO). Zero selects the model-specific default; a negative
 	// value explicitly requests probability 0 (never flush early — the low
 	// end of the §6.5 Figure 5 sweep), which the zero-means-default
-	// convention could not express.
+	// convention could not express. EffectiveFlushProb is the resolution.
 	FlushProb float64
 	// MaxStepsPerExec bounds each execution. Default 100000.
 	MaxStepsPerExec int
@@ -151,8 +151,8 @@ type Config struct {
 	// Sink, when non-nil, receives the run's typed journal events
 	// (RoundStart, Violation, SolverResult, FenceChange, RoundEnd,
 	// Checkpoint, Converged) — the structured story a JSONL journal is
-	// built from. The loop does not emit RunStart: only the caller knows
-	// the program's source form, so CLI/eval emit it before Synthesize.
+	// built from. The loop does not emit RunStart: the caller built the
+	// run from one (Load) and journals it before Synthesize.
 	// Emission happens on the coordinating goroutine only (never inside
 	// worker executions), so a Sink adds no hot-path cost.
 	Sink telemetry.Sink
@@ -198,15 +198,8 @@ func (c *Config) fill() {
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 12
 	}
-	if c.FlushProb < 0 {
-		c.FlushProb = 0 // explicit "never flush early" (sentinel)
-	} else if c.FlushProb == 0 {
-		if c.Model == memmodel.TSO {
-			c.FlushProb = 0.1
-		} else {
-			c.FlushProb = 0.5
-		}
-	}
+	// After fill, 0 means "never flush early" (the negative sentinel).
+	c.FlushProb = EffectiveFlushProb(c.FlushProb, c.Model)
 	if c.MaxStepsPerExec <= 0 {
 		c.MaxStepsPerExec = 100000
 	}

@@ -34,10 +34,6 @@ type Options struct {
 	// Validate prunes redundant fences after convergence (default true in
 	// the Table 3 runs).
 	Validate bool
-	// FlushProbTSO / FlushProbPSO override the scheduler flush
-	// probabilities (defaults 0.1 / 0.5 — §6.5).
-	FlushProbTSO float64
-	FlushProbPSO float64
 	// Workers is the parallel execution engine's worker count, passed
 	// through to core.Config.Workers (0 = NumCPU). Every artifact is
 	// bit-identical for any value.
@@ -67,19 +63,6 @@ func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.FlushProbTSO <= 0 {
-		o.FlushProbTSO = 0.1
-	}
-	if o.FlushProbPSO <= 0 {
-		o.FlushProbPSO = 0.5
-	}
-}
-
-func (o *Options) flushFor(m memmodel.Model) float64 {
-	if m == memmodel.TSO {
-		return o.FlushProbTSO
-	}
-	return o.FlushProbPSO
 }
 
 // FenceDesc renders one inferred fence the way Table 3 does: method plus
@@ -153,46 +136,40 @@ var criteria = []spec.Criterion{spec.MemorySafety, spec.SeqConsistency, spec.Lin
 // models lists Table 3's memory-model sub-columns in order.
 var models = []memmodel.Model{memmodel.TSO, memmodel.PSO}
 
-// SynthesizeCell runs fence synthesis for one cell.
+// SynthesizeCell runs fence synthesis for one cell of a registered
+// benchmark, at the model's default flush probability (§6.5). With
+// JournalDir set, the cell's journal opens with the RunStart the cell was
+// loaded from, so `dfence -resume` and `dfence explain` rebuild exactly
+// this run.
 func SynthesizeCell(b *progs.Benchmark, crit spec.Criterion, model memmodel.Model, o Options) (Cell, error) {
 	o.fill()
-	cfg := core.Config{
-		Model:            model,
-		Criterion:        crit,
-		NewSpec:          b.NewSpec(),
-		CheckGarbage:     b.CheckGarbage,
-		RelaxStealAborts: b.RelaxStealAborts,
-		ExecsPerRound:    o.ExecsPerRound,
-		MaxRounds:        o.MaxRounds,
-		FlushProb:        o.flushFor(model),
-		Seed:             o.Seed,
-		Workers:          o.Workers,
-		ValidateFences:   o.Validate,
-		Metrics:          o.Metrics,
-		Tracer:           o.Tracer,
-	}
-	var journal *telemetry.Journal
-	if o.JournalDir != "" {
-		path := filepath.Join(o.JournalDir, fmt.Sprintf("%s_%v_%v.jsonl", b.Name, crit, model))
-		var jerr error
-		journal, jerr = telemetry.CreateJournal(path)
-		if jerr != nil {
-			return Cell{}, jerr
-		}
-		cfg.Sink = journal
-	}
-	telemetry.Emit(cfg.Sink, telemetry.RunStart{
+	start := telemetry.RunStart{
 		Model:     model.String(),
 		Criterion: crit.String(),
-		SeqSpec:   b.SpecName,
 		Seed:      o.Seed,
 		Execs:     o.ExecsPerRound,
 		MaxRounds: o.MaxRounds,
-		FlushProb: o.flushFor(model),
+		FlushProb: core.EffectiveFlushProb(0, model),
 		Workers:   o.Workers,
 		Builtin:   b.Name,
-	})
-	res, err := core.Synthesize(b.Program(), cfg)
+		Validate:  o.Validate,
+	}
+	prog, cfg, err := core.Load(&start)
+	if err != nil {
+		return Cell{}, err
+	}
+	cfg.Metrics, cfg.Tracer = o.Metrics, o.Tracer
+	var journal *telemetry.Journal
+	if o.JournalDir != "" {
+		path := filepath.Join(o.JournalDir, fmt.Sprintf("%s_%v_%v.jsonl", b.Name, crit, model))
+		journal, err = telemetry.CreateJournal(path)
+		if err != nil {
+			return Cell{}, err
+		}
+		cfg.Sink = journal
+	}
+	telemetry.Emit(cfg.Sink, start)
+	res, err := core.Synthesize(prog, cfg)
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil && err == nil {
 			err = cerr

@@ -1,12 +1,15 @@
 package eval
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dfence/internal/core"
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/spec"
+	"dfence/internal/telemetry"
 )
 
 // fastOpts keeps the evaluation tests quick while still converging.
@@ -236,5 +239,47 @@ func TestSynthesizeCellLockBasedClean(t *testing.T) {
 		if cell.String() != "0" {
 			t.Errorf("%s lin/PSO = %q, want 0 (lock barriers suffice)", name, cell.String())
 		}
+	}
+}
+
+// TestJournaledCellLoadsBack: a JournalDir cell's journal opens with the
+// run description the cell ran from, so loading it back (what `dfence
+// -resume` and `dfence explain` do) gives the cell's own configuration —
+// validation included.
+func TestJournaledCellLoadsBack(t *testing.T) {
+	b, _ := progs.ByName("chase-lev")
+	dir := t.TempDir()
+	o := Options{ExecsPerRound: 60, MaxRounds: 2, Seed: 3, Validate: true, Workers: 2, JournalDir: dir}
+	if _, err := SynthesizeCell(b, spec.MemorySafety, memmodel.TSO, o); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("journals %v (%v), want one", paths, err)
+	}
+	events, err := telemetry.ReadJournalFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := telemetry.SummarizeJournal(events)
+	if jr.Start == nil {
+		t.Fatal("journal has no RunStart")
+	}
+	_, cfg, err := core.Load(jr.Start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Model != memmodel.TSO || cfg.Criterion != spec.MemorySafety ||
+		cfg.ExecsPerRound != 60 || cfg.MaxRounds != 2 || cfg.Seed != 3 || cfg.Workers != 2 {
+		t.Errorf("loaded config %+v does not match the cell's options", cfg)
+	}
+	if !cfg.ValidateFences {
+		t.Error("cell ran with validation, its journal loads without it")
+	}
+	if got := core.EffectiveFlushProb(cfg.FlushProb, cfg.Model); got != 0.1 {
+		t.Errorf("loaded flush probability %g, the cell ran at TSO's 0.1", got)
+	}
+	if cfg.CheckGarbage != b.CheckGarbage || cfg.RelaxStealAborts != b.RelaxStealAborts || cfg.NewSpec == nil {
+		t.Error("loaded config lacks the benchmark's specification settings")
 	}
 }

@@ -48,7 +48,6 @@ func Fig4(ks []int, o Options) ([]Fig4Point, error) {
 				RelaxStealAborts: b.RelaxStealAborts,
 				ExecsPerRound:    k,
 				MaxRounds:        10,
-				FlushProb:        o.FlushProbPSO,
 				Seed:             o.Seed,
 				Workers:          o.Workers,
 			}

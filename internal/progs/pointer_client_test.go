@@ -1,10 +1,11 @@
-package progs
+package progs_test
 
 import (
 	"testing"
 
 	"dfence/internal/core"
 	"dfence/internal/memmodel"
+	"dfence/internal/progs"
 	"dfence/internal/spec"
 )
 
@@ -13,18 +14,18 @@ import (
 // clients only reveal under SC/linearizability.
 
 func TestPointerClientRegistered(t *testing.T) {
-	b, err := ByName("chase-lev-ptr")
+	b, err := progs.ByName("chase-lev-ptr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Program().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(Extras()) == 0 {
+	if len(progs.Extras()) == 0 {
 		t.Error("Extras() empty")
 	}
 	// Not part of the Table 2/3 set.
-	for _, x := range All() {
+	for _, x := range progs.All() {
 		if x.Name == "chase-lev-ptr" {
 			t.Error("pointer client leaked into the Table 3 benchmark list")
 		}
@@ -32,7 +33,7 @@ func TestPointerClientRegistered(t *testing.T) {
 }
 
 func TestPointerClientCleanUnderSC(t *testing.T) {
-	b, _ := ByName("chase-lev-ptr")
+	b, _ := progs.ByName("chase-lev-ptr")
 	cfg := core.Config{Model: memmodel.SC, Criterion: spec.MemorySafety, Seed: 1}
 	if v := core.CheckOnly(b.Program(), cfg, 300); v != 0 {
 		t.Fatalf("%d/300 SC-machine violations — client itself is buggy", v)
@@ -45,10 +46,10 @@ func TestPointerClientCleanUnderSC(t *testing.T) {
 // always not sufficiently strong"), while the pointer-freeing client
 // turns the duplicate extraction into a double free.
 func TestPointerClientExposesDuplicatesViaMemorySafety(t *testing.T) {
-	plain, _ := ByName("chase-lev")
-	ptr, _ := ByName("chase-lev-ptr")
+	plain, _ := progs.ByName("chase-lev")
+	ptr, _ := progs.ByName("chase-lev-ptr")
 
-	count := func(b *Benchmark, model memmodel.Model, fp float64) int {
+	count := func(b *progs.Benchmark, model memmodel.Model, fp float64) int {
 		cfg := core.Config{
 			Model: model, Criterion: spec.MemorySafety,
 			FlushProb: fp, Seed: 13,
@@ -70,7 +71,7 @@ func TestPointerClientExposesDuplicatesViaMemorySafety(t *testing.T) {
 // TestPointerClientSynthesis: memory safety alone now drives fence
 // inference for Chase-Lev.
 func TestPointerClientSynthesis(t *testing.T) {
-	b, _ := ByName("chase-lev-ptr")
+	b, _ := progs.ByName("chase-lev-ptr")
 	res, err := core.Synthesize(b.Program(), core.Config{
 		Model:          memmodel.PSO,
 		Criterion:      spec.MemorySafety,

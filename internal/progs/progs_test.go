@@ -1,4 +1,4 @@
-package progs
+package progs_test
 
 import (
 	"strings"
@@ -6,15 +6,16 @@ import (
 
 	"dfence/internal/core"
 	"dfence/internal/memmodel"
+	"dfence/internal/progs"
 	"dfence/internal/sched"
 	"dfence/internal/spec"
 )
 
 func TestAllBenchmarksCompile(t *testing.T) {
-	if len(All()) != 13 {
-		t.Fatalf("registry has %d benchmarks, want 13: %v", len(All()), Names())
+	if len(progs.All()) != 13 {
+		t.Fatalf("registry has %d benchmarks, want 13: %v", len(progs.All()), progs.Names())
 	}
-	for _, b := range All() {
+	for _, b := range progs.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			p := b.Program()
@@ -35,7 +36,7 @@ func TestAllBenchmarksCompile(t *testing.T) {
 }
 
 // criterion returns the strongest criterion a benchmark is checked under.
-func criterion(b *Benchmark) spec.Criterion {
+func criterion(b *progs.Benchmark) spec.Criterion {
 	if b.SkipSeqCheck {
 		return spec.MemorySafety
 	}
@@ -48,7 +49,7 @@ func criterion(b *Benchmark) spec.Criterion {
 // breaks them.
 func TestCorrectUnderSCMachine(t *testing.T) {
 	const runs = 200
-	for _, b := range All() {
+	for _, b := range progs.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
@@ -71,7 +72,7 @@ func TestCorrectUnderSCMachine(t *testing.T) {
 // linearizability on an SC machine (paper §6.6 examines this for THE).
 func TestLinearizableUnderSCMachine(t *testing.T) {
 	const runs = 200
-	for _, b := range All() {
+	for _, b := range progs.All() {
 		if b.SkipSeqCheck {
 			continue
 		}
@@ -120,7 +121,7 @@ func TestRelaxedModelsExposeViolations(t *testing.T) {
 		c := c
 		t.Run(c.bench+"/"+c.model.String()+"/"+c.crit.String(), func(t *testing.T) {
 			t.Parallel()
-			b, err := ByName(c.bench)
+			b, err := progs.ByName(c.bench)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +149,7 @@ func TestLockBasedNeedNoFences(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			b, err := ByName(name)
+			b, err := progs.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,17 +168,17 @@ func TestLockBasedNeedNoFences(t *testing.T) {
 }
 
 func TestByNameErrors(t *testing.T) {
-	if _, err := ByName("nope"); err == nil {
+	if _, err := progs.ByName("nope"); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	b, err := ByName("chase-lev")
+	b, err := progs.ByName("chase-lev")
 	if err != nil || b.Paper != "Chase-Lev's WSQ" {
 		t.Errorf("lookup broken: %v %v", b, err)
 	}
 }
 
 func TestSourceLOC(t *testing.T) {
-	for _, b := range All() {
+	for _, b := range progs.All() {
 		if loc := b.SourceLOC(); loc < 20 {
 			t.Errorf("%s: SourceLOC = %d, implausibly small", b.Name, loc)
 		}
@@ -185,7 +186,7 @@ func TestSourceLOC(t *testing.T) {
 }
 
 func TestProgramReturnsClone(t *testing.T) {
-	b, _ := ByName("chase-lev")
+	b, _ := progs.ByName("chase-lev")
 	p1 := b.Program()
 	p2 := b.Program()
 	f := p1.Funcs["put"]
@@ -206,7 +207,7 @@ func TestProgramReturnsClone(t *testing.T) {
 // TestDeterministicScheduling: a benchmark run twice with one seed gives
 // identical histories (the synthesis loop depends on this).
 func TestDeterministicScheduling(t *testing.T) {
-	b, _ := ByName("chase-lev")
+	b, _ := progs.ByName("chase-lev")
 	p := b.Program()
 	a := sched.Run(p, memmodel.PSO, nil, sched.DefaultOptions(3))
 	c := sched.Run(p, memmodel.PSO, nil, sched.DefaultOptions(3))

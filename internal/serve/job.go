@@ -1,6 +1,7 @@
 // Job specification and construction: how a dfenced HTTP submission
-// becomes a core.Config plus a compiled program, and how a finished run
-// is summarized back to the client and the memo store.
+// becomes a run description (a telemetry.RunStart, which core.Load turns
+// into a program and core.Config), and how a finished run is summarized
+// back to the client and the memo store.
 package serve
 
 import (
@@ -11,10 +12,7 @@ import (
 	"dfence/internal/core"
 	"dfence/internal/interp"
 	"dfence/internal/ir"
-	"dfence/internal/lang"
 	"dfence/internal/memmodel"
-	"dfence/internal/progs"
-	"dfence/internal/spec"
 	"dfence/internal/telemetry"
 )
 
@@ -73,93 +71,33 @@ func (js *JobSpec) normalize() error {
 }
 
 // build compiles the spec into a runnable program + config and the
-// RunStart event a fresh journal opens with. The config carries no Sink,
-// Interrupt, or Resume — the job runner wires those per attempt.
-func (js *JobSpec) build() (*ir.Program, core.Config, telemetry.RunStart, error) {
-	var zero telemetry.RunStart
-	if err := js.normalize(); err != nil {
-		return nil, core.Config{}, zero, err
+// RunStart event a fresh journal opens with — the run description both
+// are loaded from (core.Load). The config carries no Sink, Interrupt, or
+// Resume — the job runner wires those per attempt.
+func (js *JobSpec) build() (prog *ir.Program, cfg core.Config, start telemetry.RunStart, err error) {
+	if err = js.normalize(); err != nil {
+		return
 	}
 	model, err := memmodel.ParseModel(js.Model)
 	if err != nil {
-		return nil, core.Config{}, zero, err
+		return
 	}
-	crit, ok := spec.ParseCriterion(js.Criterion)
-	if !ok {
-		return nil, core.Config{}, zero, fmt.Errorf("unknown criterion %q (want safety, sc, lin)", js.Criterion)
-	}
-	var (
-		prog      *ir.Program
-		benchmark *progs.Benchmark
-	)
-	if js.Builtin != "" {
-		benchmark, err = progs.ByName(js.Builtin)
-		if err != nil {
-			return nil, core.Config{}, zero, err
-		}
-		prog = benchmark.Program()
-	} else {
-		prog, err = lang.Compile(js.Source)
-		if err != nil {
-			return nil, core.Config{}, zero, err
-		}
-	}
-	cfg := core.Config{
-		Model:          model,
-		Criterion:      crit,
-		ExecsPerRound:  js.Execs,
-		MaxRounds:      js.Rounds,
-		FlushProb:      js.FlushProb,
-		Seed:           js.Seed,
-		Workers:        js.Workers,
-		ValidateFences: !js.NoValidate,
-		StaticPrune:    js.Static,
-	}
-	seqName := ""
-	if benchmark != nil {
-		cfg.NewSpec = benchmark.NewSpec()
-		cfg.CheckGarbage = benchmark.CheckGarbage
-		cfg.RelaxStealAborts = benchmark.RelaxStealAborts
-		seqName = benchmark.SpecName
-	} else if crit != spec.MemorySafety {
-		newSpec, err := spec.ByName(js.SeqSpec)
-		if err != nil {
-			return nil, core.Config{}, zero, err
-		}
-		cfg.NewSpec = newSpec
-		seqName = js.SeqSpec
-	}
-	start := telemetry.RunStart{
+	start = telemetry.RunStart{
 		Model:     model.String(),
-		Criterion: crit.String(),
-		SeqSpec:   seqName,
+		Criterion: js.Criterion,
+		SeqSpec:   js.SeqSpec,
 		Seed:      js.Seed,
 		Execs:     js.Execs,
 		MaxRounds: js.Rounds,
-		FlushProb: effectiveFlushProb(js.FlushProb, model),
+		FlushProb: core.EffectiveFlushProb(js.FlushProb, model),
 		Workers:   js.Workers,
 		Source:    js.Source,
 		Builtin:   js.Builtin,
 		Validate:  !js.NoValidate,
 		Static:    js.Static,
 	}
-	return prog, cfg, start, nil
-}
-
-// effectiveFlushProb resolves a requested flush probability the way
-// core.Config.fill does, so memo keys and RunStart events record the
-// probability the run actually uses.
-func effectiveFlushProb(p float64, model memmodel.Model) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p == 0 {
-		if model == memmodel.TSO {
-			return 0.1
-		}
-		return 0.5
-	}
-	return p
+	prog, cfg, err = core.Load(&start)
+	return
 }
 
 // memoKey fingerprints everything the synthesis result is a function of:

@@ -138,11 +138,12 @@ func InsertedFences(fs []Fence) ([]synth.InsertedFence, error) {
 }
 
 // RunStart opens a journal: what program ran under which configuration.
-// Source carries the mini-C text for file-based runs (so `dfence
-// explain` can rebuild the program without the original file); Builtin
-// names a built-in benchmark instead. Exactly one of the two is set by
-// the CLI; library callers may leave both empty, which limits explain to
-// journals whose program the caller supplies.
+// It is also the run's description — every front end builds one, loads
+// its program and configuration from it with core.Load, and journals that
+// same value, so -resume and explain rebuild exactly the run that was
+// recorded. Source carries the mini-C text for file-based runs (so
+// `dfence explain` can rebuild the program without the original file);
+// Builtin names a built-in benchmark instead.
 type RunStart struct {
 	Model     string  `json:"model"`
 	Criterion string  `json:"criterion"`
@@ -165,6 +166,8 @@ type RunStart struct {
 	CAS           bool    `json:"cas,omitempty"`
 	MinConclusive float64 `json:"min_conclusive,omitempty"`
 	MaxModels     int     `json:"max_models,omitempty"`
+	// Optimize records that the program ran after ir.Optimize.
+	Optimize bool `json:"optimize,omitempty"`
 }
 
 func (RunStart) Kind() string { return "RunStart" }
