@@ -80,7 +80,8 @@ func portfolioPhases(cfg *Config) int {
 // while other threads can run (sched.Options.StarveLoads) — the
 // load-buffering analogue of the starve phase; the store-starvation
 // vow is deliberately absent there, since vowing a store away blocks
-// the commit an LB cycle needs.
+// the commit an LB cycle needs. cfg must be filled: its FlushProb of 0
+// is then the "never flush early" request, which every phase honors.
 func portfolioPhase(cfg *Config, opts sched.Options, i int) sched.Options {
 	phase := i % portfolioPhases(cfg)
 	opts.Portfolio = uint8(phase) // trace attribution tag; observational
@@ -92,20 +93,20 @@ func portfolioPhase(cfg *Config, opts sched.Options, i int) sched.Options {
 	case 3:
 		opts.Strategy = sched.Priority
 		opts.Starve = true
-		if cfg.FlushProb >= 0 {
-			// Negative FlushProb means "never flush early" by contract;
-			// the eager phases must not override that.
+		if cfg.FlushProb > 0 {
+			// A filled FlushProb of 0 is the "never flush early"
+			// request; the eager phases must not override it.
 			opts.FlushProb = starveEagerFlush
 		}
 	case 4:
-		if cfg.FlushProb >= 0 {
+		if cfg.FlushProb > 0 {
 			opts.FlushProb = starveEagerFlush
 		}
 		opts.ResolveProb = lazyResolve
 		opts.StarveLoads = true
 	case 5:
 		opts.Strategy = sched.Priority
-		if cfg.FlushProb >= 0 {
+		if cfg.FlushProb > 0 {
 			opts.FlushProb = starveEagerFlush
 		}
 		opts.ResolveProb = lazyResolve
