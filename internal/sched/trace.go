@@ -89,32 +89,34 @@ func RunTraced(prog *ir.Program, model memmodel.Model, obs interp.Observer, opts
 // enabled set), reporting ok=false.
 func Replay(prog *ir.Program, obs interp.Observer, tr *Trace) (res *interp.Result, ok bool) {
 	m := interp.NewMachine(prog, tr.Model, obs)
+	ok = replay(m, tr, nil)
+	return m.Result(false), ok
+}
+
+// replay drives m through tr's decisions one transition at a time, then
+// drains it. Each recorded transition goes through step when it is
+// non-nil (step performs it with Decision.apply, free to inspect the
+// machine around it); the drain does not. It stops at the first
+// violation (the witness reproduced, ok) or at a decision that no longer
+// applies (not ok).
+func replay(m *interp.Machine, tr *Trace, step func(d Decision)) bool {
 	for _, d := range tr.Decisions {
-		if d.Thread >= m.NumThreads() {
-			return m.Result(false), false
+		n := d.Steps
+		if d.Flush || d.Resolve {
+			n = 1
 		}
-		if d.Flush {
-			if !m.CanFlush(d.Thread) {
-				return m.Result(false), false
-			}
-			m.FlushOne(d.Thread, d.Addr)
-			continue
-		}
-		if d.Resolve {
-			if d.Idx >= m.DeferredCount(d.Thread) {
-				return m.Result(false), false
-			}
-			m.ResolveOne(d.Thread, d.Idx)
-			continue
-		}
-		for i := 0; i < d.Steps; i++ {
+		for i := 0; i < n; i++ {
 			if m.Violation() != nil {
-				return m.Result(false), true // reproduced the violation
+				return true
 			}
-			if !m.CanExec(d.Thread) && !m.CanFlush(d.Thread) && !m.CanResolve(d.Thread) {
-				return m.Result(false), false
+			if !d.applies(m) {
+				return false
 			}
-			m.StepThread(d.Thread)
+			if step != nil {
+				step(d)
+			} else {
+				d.apply(m)
+			}
 		}
 	}
 	// Drain any remainder deterministically (round-robin) so the result is
@@ -145,5 +147,31 @@ func Replay(prog *ir.Program, obs interp.Observer, tr *Trace) (res *interp.Resul
 			break
 		}
 	}
-	return m.Result(false), true
+	return true
+}
+
+// applies reports whether d's transition is enabled on m.
+func (d Decision) applies(m *interp.Machine) bool {
+	switch {
+	case d.Thread >= m.NumThreads():
+		return false
+	case d.Flush:
+		return m.CanFlush(d.Thread)
+	case d.Resolve:
+		return d.Idx < m.DeferredCount(d.Thread)
+	}
+	return m.CanExec(d.Thread) || m.CanFlush(d.Thread) || m.CanResolve(d.Thread)
+}
+
+// apply performs one transition of d on m: the scheduled flush, the
+// scheduled resolve, or one step of the thread (which may itself be a
+// flush or resolve the next instruction forces).
+func (d Decision) apply(m *interp.Machine) interp.StepKind {
+	switch {
+	case d.Flush:
+		return m.FlushOne(d.Thread, d.Addr)
+	case d.Resolve:
+		return m.ResolveOne(d.Thread, d.Idx)
+	}
+	return m.StepThread(d.Thread)
 }

@@ -79,12 +79,16 @@ func Predicates(ps []Pred) []synth.Predicate {
 	return out
 }
 
-// TraceDecision is one scheduling decision of a witness trace.
+// TraceDecision is one scheduling decision of a witness trace. Resolve
+// and Idx (a deferred-load resolution, load-deferring models only) are
+// optional fields: journals written before them decode unchanged.
 type TraceDecision struct {
-	Thread int   `json:"t"`
-	Flush  bool  `json:"flush,omitempty"`
-	Addr   int64 `json:"addr,omitempty"`
-	Steps  int   `json:"steps,omitempty"`
+	Thread  int   `json:"t"`
+	Flush   bool  `json:"flush,omitempty"`
+	Resolve bool  `json:"resolve,omitempty"`
+	Addr    int64 `json:"addr,omitempty"`
+	Idx     int   `json:"idx,omitempty"`
+	Steps   int   `json:"steps,omitempty"`
 }
 
 // TraceOf converts a sched.Trace for journaling (nil-safe).
@@ -94,7 +98,7 @@ func TraceOf(tr *sched.Trace) []TraceDecision {
 	}
 	out := make([]TraceDecision, len(tr.Decisions))
 	for i, d := range tr.Decisions {
-		out[i] = TraceDecision{Thread: d.Thread, Flush: d.Flush, Addr: d.Addr, Steps: d.Steps}
+		out[i] = TraceDecision{Thread: d.Thread, Flush: d.Flush, Resolve: d.Resolve, Addr: d.Addr, Idx: d.Idx, Steps: d.Steps}
 	}
 	return out
 }

@@ -1,9 +1,9 @@
 // The violation-witness explainer: turns a recorded schedule plus its
 // journal context into a human-readable interleaving report — per-thread
 // program text, the step-by-step interleaving with buffered-vs-flushed
-// stores made explicit, the stores still sitting in buffers when the
-// check failed, the specification failure, and the repair disjunction
-// the instrumented semantics proposed. This is the `dfence explain`
+// stores and deferred-vs-resolved loads made explicit, the stores still
+// sitting in buffers when the check failed, the specification failure,
+// and the repair disjunction the instrumented semantics proposed. This is the `dfence explain`
 // backend and the detail section of failure output.
 package telemetry
 
@@ -205,6 +205,14 @@ func renderFact(f sched.StepFact, names func(int64) string, pending map[int][]pe
 				break
 			}
 		}
+	case f.Resolve:
+		fmt.Fprintf(&b, " \u27f2 resolve load L%d", f.ResolveLabel)
+		if f.HasAddr && f.HasVal {
+			fmt.Fprintf(&b, ": read %s = %d (from memory)", names(f.Addr), f.Val)
+		}
+		if f.Forced {
+			b.WriteString(" (forced by a dependent instruction)")
+		}
 	case f.Exec:
 		in := f.Instr
 		fmt.Fprintf(&b, " %s  %s", f.Func, in.String())
@@ -219,7 +227,9 @@ func renderFact(f sched.StepFact, names func(int64) string, pending map[int][]pe
 				}
 			}
 		case ir.OpLoad:
-			if f.HasAddr && f.HasVal {
+			if f.Deferred && f.HasAddr {
+				fmt.Fprintf(&b, "   → load of %s DEFERRED (reads memory when it resolves)", names(f.Addr))
+			} else if f.HasAddr && f.HasVal {
 				src := "from memory"
 				if f.FromBuffer {
 					src = "from OWN buffer"

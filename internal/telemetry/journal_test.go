@@ -17,13 +17,14 @@ func allEvents() []Event {
 			Execs: 500, MaxRounds: 10, FlushProb: 0.5, Workers: 4,
 			Source: "int x = 0;", Builtin: "",
 			MaxSteps: 100000, Validate: true, Static: true, CAS: true,
-			MinConclusive: 0.5, MaxModels: 4096,
+			MinConclusive: 0.5, MaxModels: 4096, Optimize: true,
 		},
 		RoundStart{Round: 1, DelayPairs: 3},
 		Violation{
 			Round: 1, Index: 2, Seed: 9, Desc: "assertion violation",
 			Disjunction: []Pred{{L: 2, K: 5}, {L: 3, K: 7}},
-			Trace:       []TraceDecision{{Thread: 1, Steps: 4}, {Thread: 1, Flush: true, Addr: 2}},
+			Trace: []TraceDecision{{Thread: 1, Steps: 4}, {Thread: 1, Flush: true, Addr: 2},
+				{Thread: 2, Resolve: true, Idx: 1, Steps: 1}},
 		},
 		SolverResult{
 			Round: 1, Clauses: 2, Predicates: 3, Models: 4, Conflicts: 5,

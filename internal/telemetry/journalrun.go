@@ -77,7 +77,7 @@ func TraceFrom(ds []TraceDecision, model memmodel.Model) *sched.Trace {
 	tr := &sched.Trace{Model: model}
 	for _, d := range ds {
 		tr.Decisions = append(tr.Decisions, sched.Decision{
-			Thread: d.Thread, Flush: d.Flush, Addr: d.Addr, Steps: d.Steps,
+			Thread: d.Thread, Flush: d.Flush, Resolve: d.Resolve, Addr: d.Addr, Idx: d.Idx, Steps: d.Steps,
 		})
 	}
 	return tr
