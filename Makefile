@@ -28,7 +28,9 @@
 #   make journal-smoke  record a run journal and replay it through
 #                       `dfence explain` — fails if the journal schema
 #                       drifted (the strict reader rejects it) or the
-#                       witness no longer renders
+#                       witness no longer renders — then cut it after its
+#                       first checkpoint and `dfence -resume` it, failing
+#                       unless the resumed fences equal the full run's
 #   make serve-smoke    dfenced crash-recovery gate: start the service,
 #                       submit examples/mailbox.mc, SIGKILL the daemon
 #                       once a checkpoint is journaled, restart it on the
@@ -134,11 +136,24 @@ bench-gate:
 # rejects unknown events/fields and version mismatches, and explain
 # exits non-zero when no witness renders, so this trips on schema drift
 # end to end.
+# The second half cuts the journal after its first Checkpoint, the way a
+# crash would, resumes it with `dfence -resume`, and requires the resumed
+# run to report the same fences as the full one.
+FENCES_BLOCK = awk '/^fences inserted:/{f=1; print; next} f && /^  /{print; next} {f=0}'
 journal-smoke:
 	$(GO) run ./cmd/dfence -model pso -spec safety -execs 300 \
-		-journal $(JOURNAL) examples/mailbox.mc >/dev/null
+		-journal $(JOURNAL) examples/mailbox.mc > $(JOURNAL).out
 	$(GO) run ./cmd/dfence explain $(JOURNAL) >/dev/null
-	@echo "journal-smoke: ok ($(JOURNAL) replayed cleanly)"
+	sed '/"ev":"Checkpoint"/q' $(JOURNAL) > $(JOURNAL).cut
+	@grep -q '"ev":"Checkpoint"' $(JOURNAL).cut || \
+		{ echo "journal-smoke: $(JOURNAL) has no Checkpoint to resume from"; exit 1; }
+	$(GO) run ./cmd/dfence -resume $(JOURNAL).cut > $(JOURNAL).resumed.out
+	@$(FENCES_BLOCK) $(JOURNAL).out > $(JOURNAL).fences
+	@$(FENCES_BLOCK) $(JOURNAL).resumed.out > $(JOURNAL).resumed.fences
+	@test -s $(JOURNAL).fences || { echo "journal-smoke: the full run reported no fences"; exit 1; }
+	@diff $(JOURNAL).fences $(JOURNAL).resumed.fences || \
+		{ echo "journal-smoke: the resumed run's fences differ from the full run's"; exit 1; }
+	@echo "journal-smoke: ok ($(JOURNAL) replayed cleanly; the cut journal resumed to the same fences)"
 
 # dfenced crash-recovery smoke: kill -9 mid-run, restart, assert the job
 # resumes from its journal checkpoint to the expected result. See
