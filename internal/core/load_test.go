@@ -212,3 +212,36 @@ func TestLoadAppliesOptimize(t *testing.T) {
 		t.Fatal("Load without Optimize changed the compiled program")
 	}
 }
+
+// TestLoadJournaledRoundTrip: the canonical RunStart Load leaves behind —
+// the value a front end journals — loads again to itself and to the same
+// Config, which is what makes -resume and explain rebuild the run that
+// was recorded.
+func TestLoadJournaledRoundTrip(t *testing.T) {
+	for _, start := range []telemetry.RunStart{
+		{Model: "tso", Criterion: "sc", Builtin: "chase-lev", FlushProb: 0.1, Validate: true, Seed: 3},
+		{Model: "Rmo", Criterion: "lin", Source: overFencedMP, SeqSpec: "queue", MaxIters: 500, Optimize: true},
+		{Model: "pso", Criterion: "memory-safety", Source: overFencedMP, SeqSpec: "deque", Static: true, CAS: true},
+	} {
+		first := start
+		prog1, cfg1, err := Load(&first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := first
+		prog2, cfg2, err := Load(&second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second != first {
+			t.Errorf("reloading %+v rewrote it to %+v", first, second)
+		}
+		cfg1.NewSpec, cfg2.NewSpec = nil, nil // funcs never compare equal
+		if !reflect.DeepEqual(cfg1, cfg2) {
+			t.Errorf("%s/%s: reloaded config %+v, first %+v", start.Model, start.Criterion, cfg2, cfg1)
+		}
+		if prog1.Disasm() != prog2.Disasm() {
+			t.Errorf("%s/%s: reloaded program differs", start.Model, start.Criterion)
+		}
+	}
+}
