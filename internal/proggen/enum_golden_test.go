@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"dfence/internal/ir"
+	"dfence/internal/litmus"
 	"dfence/internal/memmodel"
+	"dfence/internal/progs"
 	"dfence/internal/staticanalysis"
 )
 
@@ -23,7 +26,10 @@ import (
 const enumGoldenFile = "testdata/enum_golden.txt"
 
 // enumGoldenCorpus is the number of Corpus(1, ·) programs pinned at
-// enumGoldenBudget states.
+// enumGoldenBudget states; the litmus suite and the builtin benchmarks
+// are pinned at the same budget. Their spin loops (MP's consumer, the
+// work-stealing queues' retry loops) are the cyclic state spaces where a
+// transition-pruning reduction combined with state caching can go wrong.
 const (
 	enumGoldenCorpus = 150
 	enumGoldenBudget = 2000
@@ -31,10 +37,15 @@ const (
 
 // enumGoldenCell is one line of the golden file.
 type enumGoldenCell struct {
-	key  string
-	prog *Prog
-	opts EnumOptions
-	m    memmodel.Model
+	key     string
+	compile func() (*ir.Program, error)
+	opts    EnumOptions
+	m       memmodel.Model
+}
+
+// builtProgram adapts an always-linked program to a cell's compile step.
+func builtProgram(p *ir.Program) func() (*ir.Program, error) {
+	return func() (*ir.Program, error) { return p, nil }
 }
 
 func enumGoldenCells() []enumGoldenCell {
@@ -42,10 +53,10 @@ func enumGoldenCells() []enumGoldenCell {
 	for i, p := range Corpus(1, enumGoldenCorpus) {
 		for _, m := range memmodel.Models() {
 			cells = append(cells, enumGoldenCell{
-				key:  fmt.Sprintf("corpus[%d] %s %v", i, p.Name, m),
-				prog: p,
-				opts: EnumOptions{MaxStates: enumGoldenBudget},
-				m:    m,
+				key:     fmt.Sprintf("corpus[%d] %s %v", i, p.Name, m),
+				compile: p.Compile,
+				opts:    EnumOptions{MaxStates: enumGoldenBudget},
+				m:       m,
 			})
 		}
 	}
@@ -54,11 +65,33 @@ func enumGoldenCells() []enumGoldenCell {
 			p := TemplateProg(shape, VariantBare)
 			for _, m := range memmodel.Models() {
 				cells = append(cells, enumGoldenCell{
-					key:  fmt.Sprintf("template %s %v", p.Name, m),
-					prog: p,
-					m:    m,
+					key:     fmt.Sprintf("template %s %v", p.Name, m),
+					compile: p.Compile,
+					m:       m,
 				})
 			}
+		}
+	}
+	for _, test := range litmus.All() {
+		prog := builtProgram(test.Program())
+		for _, m := range memmodel.Models() {
+			cells = append(cells, enumGoldenCell{
+				key:     fmt.Sprintf("litmus %s %v", test.Name, m),
+				compile: prog,
+				opts:    EnumOptions{MaxStates: enumGoldenBudget},
+				m:       m,
+			})
+		}
+	}
+	for _, b := range progs.All() {
+		prog := builtProgram(b.Program())
+		for _, m := range memmodel.Models() {
+			cells = append(cells, enumGoldenCell{
+				key:     fmt.Sprintf("builtin %s %v", b.Name, m),
+				compile: prog,
+				opts:    EnumOptions{MaxStates: enumGoldenBudget},
+				m:       m,
+			})
 		}
 	}
 	return cells
@@ -112,7 +145,7 @@ func TestEnumGolden(t *testing.T) {
 	keys := make(map[string]bool, len(cells))
 	for _, c := range cells {
 		keys[c.key] = true
-		prog, err := c.prog.Compile()
+		prog, err := c.compile()
 		if err != nil {
 			t.Fatalf("%s: compile: %v", c.key, err)
 		}
