@@ -88,7 +88,7 @@ test:
 	$(GO) test ./...
 
 # internal/proggen's enumeration tests are the longest package under
-# -race: 216 s on a 2-vCPU machine, the other packages alongside (262 s
+# -race: 156 s on a 2-vCPU machine, the other packages alongside (197 s
 # for the whole target). The explicit 30m keeps a slow runner clear of
 # go test's 10-minute default.
 race:

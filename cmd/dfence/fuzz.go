@@ -42,23 +42,10 @@ func runFuzz(args []string) {
 		os.Exit(2)
 	}
 
-	var models []memmodel.Model
-	for _, name := range strings.Split(*modelsF, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		m, err := memmodel.ParseModel(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dfence fuzz:", err)
-			os.Exit(2)
-		}
-		if m == memmodel.SC {
-			// SC is the ground-truth baseline of every check; fuzzing
-			// "SC vs SC" would only dilute the budget.
-			continue
-		}
-		models = append(models, m)
+	models, err := parseFuzzModels(*modelsF)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dfence fuzz:", err)
+		os.Exit(2)
 	}
 
 	cfg := proggen.FuzzConfig{
@@ -88,6 +75,31 @@ func runFuzz(args []string) {
 	if len(rep.Divergences) > 0 {
 		os.Exit(1)
 	}
+}
+
+// parseFuzzModels parses the -models list: comma-separated model names,
+// SC dropped (it is the ground-truth baseline of every check; fuzzing "SC
+// vs SC" would only dilute the budget). A list that leaves no weak model
+// is an error rather than a silent fall-back to the default models.
+func parseFuzzModels(list string) ([]memmodel.Model, error) {
+	var models []memmodel.Model
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		m, err := memmodel.ParseModel(name)
+		if err != nil {
+			return nil, err
+		}
+		if m != memmodel.SC {
+			models = append(models, m)
+		}
+	}
+	if len(models) == 0 {
+		return nil, fmt.Errorf("-models %q names no weak model to cross-check against SC (choose from tso, pso, rmo)", list)
+	}
+	return models, nil
 }
 
 // printFuzzReport renders the campaign summary humans read; the JSONL

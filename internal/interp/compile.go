@@ -33,6 +33,7 @@ type rinstr struct {
 // documents for the ir.Program itself).
 type cfunc struct {
 	name    string
+	index   int32 // position in Compiled.funcs (the state key's function id)
 	numRegs int
 	isOp    bool
 	code    []ir.Instr
@@ -96,6 +97,7 @@ func CompileWatched(p *ir.Program, watch []ir.Label) (*Compiled, error) {
 		f := p.Funcs[n]
 		cf := &c.funcs[i]
 		cf.name = f.Name
+		cf.index = int32(i)
 		cf.numRegs = f.NumRegs
 		cf.isOp = f.IsOperation
 		cf.code = f.Code

@@ -38,57 +38,57 @@ func (m *Machine) AppendStateKey(dst []byte) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = binary.AppendVarint(dst, m.exitCode)
-	dst = binary.AppendUvarint(dst, uint64(len(m.mem)))
+	dst = appendVarint(dst, m.exitCode)
+	dst = appendUvarint(dst, uint64(len(m.mem)))
 	for _, v := range m.mem {
-		dst = binary.AppendVarint(dst, v)
+		dst = appendVarint(dst, v)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.units.units)))
+	dst = appendUvarint(dst, uint64(len(m.units.units)))
 	for _, u := range m.units.units {
-		dst = binary.AppendVarint(dst, u.base)
-		dst = binary.AppendVarint(dst, u.size)
+		dst = appendVarint(dst, u.base)
+		dst = appendVarint(dst, u.size)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.output)))
+	dst = appendUvarint(dst, uint64(len(m.output)))
 	for _, v := range m.output {
-		dst = binary.AppendVarint(dst, v)
+		dst = appendVarint(dst, v)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.history)))
+	dst = appendUvarint(dst, uint64(len(m.history)))
 	for i := range m.history {
 		e := &m.history[i]
 		dst = append(dst, byte(e.Kind))
-		dst = binary.AppendVarint(dst, int64(e.Thread))
-		dst = binary.AppendUvarint(dst, uint64(len(e.Op)))
+		dst = appendVarint(dst, int64(e.Thread))
+		dst = appendUvarint(dst, uint64(len(e.Op)))
 		dst = append(dst, e.Op...)
-		dst = binary.AppendUvarint(dst, uint64(len(e.Args)))
+		dst = appendUvarint(dst, uint64(len(e.Args)))
 		for _, a := range e.Args {
-			dst = binary.AppendVarint(dst, a)
+			dst = appendVarint(dst, a)
 		}
 		if e.HasRet {
 			dst = append(dst, 1)
-			dst = binary.AppendVarint(dst, e.Ret)
+			dst = appendVarint(dst, e.Ret)
 		} else {
 			dst = append(dst, 0)
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.threads)))
+	dst = appendUvarint(dst, uint64(len(m.threads)))
 	for ti := range m.threads {
 		t := &m.threads[ti]
-		dst = binary.AppendVarint(dst, int64(t.opDepth))
-		dst = binary.AppendUvarint(dst, uint64(len(t.frames)))
+		dst = appendVarint(dst, int64(t.opDepth))
+		dst = appendUvarint(dst, uint64(len(t.frames)))
 		for i := range t.frames {
 			fr := &t.frames[i]
-			dst = binary.AppendUvarint(dst, uint64(m.funcIndex(fr.fn)))
-			dst = binary.AppendVarint(dst, int64(fr.pc))
-			dst = binary.AppendVarint(dst, int64(fr.retDst))
+			dst = appendUvarint(dst, uint64(fr.fn.index))
+			dst = appendVarint(dst, int64(fr.pc))
+			dst = appendVarint(dst, int64(fr.retDst))
 			if fr.isOp {
 				dst = append(dst, 1)
 			} else {
 				dst = append(dst, 0)
 			}
 			regs := t.frameRegs(fr)
-			dst = binary.AppendUvarint(dst, uint64(len(regs)))
+			dst = appendUvarint(dst, uint64(len(regs)))
 			for _, r := range regs {
-				dst = binary.AppendVarint(dst, r)
+				dst = appendVarint(dst, r)
 			}
 		}
 		// Buffers in canonical drain order (TSO: FIFO; per-address models:
@@ -98,33 +98,43 @@ func (m *Machine) AppendStateKey(dst []byte) []byte {
 		// store-store barrier between different entries flush differently.
 		ents := t.buf.AppendPendingOther(m.entScratch[:0], keyNoExclude)
 		m.entScratch = ents[:0]
-		dst = binary.AppendUvarint(dst, uint64(len(ents)))
+		dst = appendUvarint(dst, uint64(len(ents)))
 		for _, e := range ents {
-			dst = binary.AppendVarint(dst, e.Addr)
-			dst = binary.AppendVarint(dst, e.Val)
-			dst = binary.AppendVarint(dst, int64(e.Label))
-			dst = binary.AppendVarint(dst, int64(e.Epoch))
+			dst = appendVarint(dst, e.Addr)
+			dst = appendVarint(dst, e.Val)
+			dst = appendVarint(dst, int64(e.Label))
+			dst = appendVarint(dst, int64(e.Epoch))
 		}
 		// Deferred loads in issue order: the queue determines which resolve
 		// transitions exist and what they will write where.
-		dst = binary.AppendUvarint(dst, uint64(len(t.defq)))
+		dst = appendUvarint(dst, uint64(len(t.defq)))
 		for _, d := range t.defq {
-			dst = binary.AppendVarint(dst, int64(d.Label))
-			dst = binary.AppendVarint(dst, d.Addr)
-			dst = binary.AppendVarint(dst, int64(d.Dst))
+			dst = appendVarint(dst, int64(d.Label))
+			dst = appendVarint(dst, d.Addr)
+			dst = appendVarint(dst, int64(d.Dst))
 		}
 	}
 	return dst
 }
 
-// funcIndex resolves a frame's function back to its compile-order index.
-// Linear scan: function counts are tiny and this runs off the execution
-// hot path (only during state-key construction).
-func (m *Machine) funcIndex(f *cfunc) int {
-	for i := range m.c.funcs {
-		if &m.c.funcs[i] == f {
-			return i
-		}
+// appendVarint is binary.AppendVarint with a one-byte fast path: state
+// keys are dominated by small values (registers, pcs, flags), whose
+// zig-zag encoding fits one byte. The bytes are exactly AppendVarint's.
+func appendVarint(dst []byte, v int64) []byte {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
 	}
-	return -1
+	if ux < 0x80 {
+		return append(dst, byte(ux))
+	}
+	return binary.AppendUvarint(dst, ux)
+}
+
+// appendUvarint is binary.AppendUvarint with the same one-byte fast path.
+func appendUvarint(dst []byte, x uint64) []byte {
+	if x < 0x80 {
+		return append(dst, byte(x))
+	}
+	return binary.AppendUvarint(dst, x)
 }

@@ -16,7 +16,7 @@ package proggen
 // copies and transitions, which is what keeps litmus-sized programs (a few
 // thousand states) enumerable in milliseconds.
 //
-// Two reductions keep the tree small without losing outcomes:
+// Three reductions keep the walk small without losing outcomes:
 //
 //   - Local-run collapse: after an exec choice the chosen thread keeps
 //     stepping while its steps are StepLocal (registers / provably
@@ -26,6 +26,36 @@ package proggen
 //     cannot remove a reachable outcome.
 //   - State dedup subsumes path symmetry: two interleavings reaching the
 //     same memory/buffers/frames state share their entire future.
+//   - Sleep sets (Godefroid, Partial-Order Methods for the Verification
+//     of Concurrent Systems, LNCS 1032) skip transitions that would only
+//     re-reach a state already expanded. Each transition records a
+//     footprint as it is applied — the memory words it reads and writes
+//     (interp.Machine.NextStepAccess, step by step through the local
+//     run), or "global" for a history event, print, fork, join, alloc,
+//     free, a thread's final return, a stop at a blocked join or a
+//     violation. Two transitions of different threads are independent
+//     when neither is global and they share no word that either writes:
+//     either order then reaches the same state, and neither disables or
+//     changes the other. A branching state hands its k-th transition the
+//     siblings explored before it plus its own sleep set, keeping only
+//     the entries independent of that transition, and a state skips every
+//     transition in its sleep set.
+//
+//     Soundness: a sleeping transition t at state s was explored from an
+//     ancestor u, and every transition w from u to s commutes with t, so
+//     s·t = u·t·w. The DFS finished u·t before reaching s, and a finished
+//     state has all its successors expanded (those it skipped, by this
+//     same argument) — so u·t·w, hence s·t, was
+//     expanded, and skipping t changes neither the states visited nor
+//     their order: States, Paths, Complete, Outcomes and Violations are
+//     exactly those of the unpruned walk. That argument fails once the
+//     walk closes a cycle (a spin loop): a dedup hit on a state still on
+//     the DFS path leaves that state's successors unexpanded for now. So
+//     every expanded state carries a visit index and an on-path bit,
+//     cleared on backtrack, and the first dedup hit on an on-path state
+//     turns pruning off for the rest of the enumeration. Pruning likewise
+//     stops once a path comes within one transition of MaxSteps, where
+//     successors go unexpanded because of the step budget.
 //
 // Enumeration is exact when Complete is true; budgets (states, steps)
 // make it degrade to "explored a prefix" rather than hang on a too-large
@@ -35,7 +65,7 @@ package proggen
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dfence/internal/interp"
 	"dfence/internal/ir"
@@ -43,13 +73,58 @@ import (
 )
 
 // choice is one scheduler transition: an exec step, a flush of one
-// buffered store, or a resolve of one deferred load.
+// buffered store, or a resolve of one deferred load. fp is what the
+// transition touched when it was applied (sleep sets compare footprints).
 type choice struct {
 	tid     int
 	flush   bool
 	resolve bool
 	addr    int64 // flush target (flush=true only)
 	idx     int   // deferred-load queue index (resolve=true only)
+	fp      footprint
+}
+
+// same reports whether c and o denote the same transition.
+func (c *choice) same(o *choice) bool {
+	return c.tid == o.tid && c.flush == o.flush && c.resolve == o.resolve && c.addr == o.addr && c.idx == o.idx
+}
+
+// footprint is what one transition touched outside its own thread: one
+// memory word (addr, written or only read), or global state — see
+// interp.StepAccess.Global, plus any violation, a stop at a blocked join,
+// and a local run that touched a second word.
+type footprint struct {
+	global  bool
+	touches bool
+	write   bool
+	addr    int64
+}
+
+// add records one step's access.
+func (f *footprint) add(a interp.StepAccess) {
+	switch {
+	case a.Global:
+		f.global = true
+	case f.global || !(a.Read || a.Write):
+	case !f.touches:
+		f.touches, f.addr, f.write = true, a.Addr, a.Write
+	case f.addr == a.Addr:
+		f.write = f.write || a.Write
+	default:
+		f.global = true
+	}
+}
+
+// independent reports whether transitions a and b, both enabled in one
+// state, commute: they belong to different threads, neither has a global
+// effect, and they do not touch the same word with at least one write.
+// Then either order reaches the same state, each stays enabled after the
+// other, and each touches the same word after the other.
+func independent(a, b *choice) bool {
+	if a.tid == b.tid || a.fp.global || b.fp.global {
+		return false
+	}
+	return !(a.fp.touches && b.fp.touches && a.fp.addr == b.fp.addr && (a.fp.write || b.fp.write))
 }
 
 // EnumOptions bounds one enumeration.
@@ -118,15 +193,17 @@ func (r *EnumResult) SortedViolations() []string {
 // OutcomeString canonicalizes a terminal execution: the printed values in
 // order plus the exit code.
 func OutcomeString(output []int64, exitCode int64) string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range output {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, v, 10)
 	}
-	fmt.Fprintf(&b, "|exit=%d", exitCode)
-	return b.String()
+	b = append(b, "|exit="...)
+	b = strconv.AppendInt(b, exitCode, 10)
+	return string(b)
 }
 
 // violationString canonicalizes a violation for set membership.
@@ -137,7 +214,13 @@ func violationString(v *interp.Violation) string {
 // enumerator holds the snapshot machinery for one Enumerate call: cur is
 // the machine the walk mutates, and snaps[d] holds the state of the d-th
 // branching node on the current DFS path — one pooled Machine per
-// branching depth, reused across the whole walk.
+// branching depth, reused across the whole walk. seen maps every expanded
+// state's key to its visit index.
+//
+// The sleep-set bookkeeping is live while prune is true. sleep is a stack
+// of sleep sets: the current state's set is sleep[zcur:], and each
+// branching state on the path keeps its own below it. pathIdx lists the
+// visit indices of the states on the DFS path, and onPath marks them.
 type enumerator struct {
 	c     *interp.Compiled
 	model memmodel.Model
@@ -145,20 +228,42 @@ type enumerator struct {
 	cur   *interp.Machine
 	snaps []*interp.Machine
 	key   []byte
+	seen  map[string]int32
+
+	prune   bool
+	sleep   []choice
+	zcur    int
+	pathIdx []int32
+	onPath  []bool
 }
 
 // branch is a state on the current DFS path with untried transitions:
 // chs[next:end] of the choice stack, each applied to a copy of the
-// state's snapshot. Its own transitions occupy chs[start:end].
+// state's snapshot. Its own transitions occupy chs[start:end], its sleep
+// set sleep[z0:z1], and it sits at pathIdx[depth-1].
 type branch struct {
 	start, next, end int
+	z0, z1           int
+	depth            int
 }
+
+// pruneHook, when non-nil, is called with each sleeping transition the
+// walk skips, while e.cur holds the state it is skipped in. Tests set it
+// to check that every skipped transition leads to an expanded state.
+var pruneHook func(e *enumerator, ch *choice)
 
 // Enumerate explores every schedule of prog under model within the
 // budgets. prog must be linked.
 func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumResult {
 	opts.fill()
-	e := &enumerator{c: interp.Compile(prog), model: model, opts: opts, cur: &interp.Machine{}}
+	e := &enumerator{
+		c:     interp.Compile(prog),
+		model: model,
+		opts:  opts,
+		cur:   &interp.Machine{},
+		seen:  make(map[string]int32),
+		prune: true,
+	}
 	res := &EnumResult{
 		Model:      model,
 		Outcomes:   make(map[string]bool),
@@ -171,29 +276,35 @@ func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumRe
 	// order — the expansion order of an explicit stack of choice paths
 	// with pop-time dedup, which under the MaxStates budget decides which
 	// states get counted.
-	seen := make(map[string]struct{})
 	var chs []choice  // transitions of the states on the path
 	var path []branch // branching states on the path, each with a sibling left
 	e.cur.Reset(e.c, e.model, nil)
 	for {
 		start := len(chs)
 		var stop bool
-		if chs, stop = e.expand(res, seen, chs); stop {
+		if chs, stop = e.expand(res, chs); stop {
 			break
 		}
 		switch len(chs) - start {
 		case 0:
-			// Terminal, already expanded, or over the step budget.
+			// Terminal, already expanded, over the step budget, or every
+			// transition asleep.
 		case 1:
-			// A single transition needs no snapshot: take it in place.
+			// A single transition needs no snapshot: take it in place. The
+			// child keeps the entries of this state's sleep set that
+			// commute with it.
 			ch := chs[start]
 			chs = chs[:start]
-			e.apply(ch)
+			e.apply(e.cur, &ch)
+			if e.prune {
+				e.sleep = appendIndependent(e.sleep[:e.zcur], e.sleep[e.zcur:], &ch)
+			}
 			continue
 		default:
 			e.snapshot(len(path)).CopyFrom(e.cur)
-			path = append(path, branch{start: start, next: start + 1, end: len(chs)})
-			e.apply(chs[start])
+			path = append(path, branch{start: start, next: start + 1, end: len(chs),
+				z0: e.zcur, z1: len(e.sleep), depth: len(e.pathIdx)})
+			e.descend(chs, &path[len(path)-1], start)
 			continue
 		}
 		// Backtrack to the deepest branching state and take its next
@@ -204,16 +315,19 @@ func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumRe
 		}
 		d := len(path) - 1
 		b := &path[d]
-		ch := chs[b.next]
+		e.leave(b.depth)
+		i := b.next
 		b.next++
 		if b.next == b.end {
 			e.cur, e.snaps[d] = e.snaps[d], e.cur
-			chs = chs[:b.start]
-			path = path[:d]
 		} else {
 			e.cur.CopyFrom(e.snaps[d])
 		}
-		e.apply(ch)
+		e.descend(chs, b, i)
+		if b.next == b.end {
+			chs = chs[:b.start]
+			path = path[:d]
+		}
 	}
 	return res
 }
@@ -226,25 +340,73 @@ func (e *enumerator) snapshot(d int) *interp.Machine {
 	return e.snaps[d]
 }
 
+// descend takes chs[i], a transition of branch b, on the working machine
+// (restored to b's state) and gives the child its sleep set: the entries
+// of b's set and the siblings explored before chs[i] that commute with it.
+func (e *enumerator) descend(chs []choice, b *branch, i int) {
+	ch := &chs[i]
+	e.apply(e.cur, ch)
+	if !e.prune {
+		return
+	}
+	e.sleep = e.sleep[:b.z1]
+	e.zcur = b.z1
+	e.sleep = appendIndependent(e.sleep, e.sleep[b.z0:b.z1], ch)
+	e.sleep = appendIndependent(e.sleep, chs[b.start:i], ch)
+}
+
+// appendIndependent appends the transitions of from that commute with ch.
+func appendIndependent(dst, from []choice, ch *choice) []choice {
+	for i := range from {
+		if independent(&from[i], ch) {
+			dst = append(dst, from[i])
+		}
+	}
+	return dst
+}
+
+// leave takes every state above pathIdx[:depth] off the DFS path: the
+// walk is backtracking to the branching state at pathIdx[depth-1].
+func (e *enumerator) leave(depth int) {
+	if !e.prune {
+		return
+	}
+	for _, idx := range e.pathIdx[depth:] {
+		e.onPath[idx] = false
+	}
+	e.pathIdx = e.pathIdx[:depth]
+}
+
 // expand accounts for the state the walk just reached and appends its
 // transitions to dst — none when the state is terminal, was expanded
-// before, or lies past the step budget. stop reports that the state
-// budget tripped: further expansion cannot restore completeness.
-func (e *enumerator) expand(res *EnumResult, seen map[string]struct{}, dst []choice) (_ []choice, stop bool) {
+// before, or lies past the step budget, and none that sleep. stop reports
+// that the state budget tripped: further expansion cannot restore
+// completeness.
+func (e *enumerator) expand(res *EnumResult, dst []choice) (_ []choice, stop bool) {
 	m := e.cur
 	if m.Steps() >= e.opts.MaxSteps {
 		res.Complete = false
 		return dst, false
 	}
 	e.key = m.AppendStateKey(e.key[:0])
-	if _, dup := seen[string(e.key)]; dup {
+	if idx, dup := e.seen[string(e.key)]; dup {
+		if e.prune && e.onPath[idx] {
+			// The walk closed a cycle: this state's subtree is still
+			// being explored, so a sleeping transition may no longer lead
+			// to an expanded state.
+			e.prune = false
+		}
 		return dst, false
 	}
 	if res.States >= e.opts.MaxStates {
 		res.Complete = false
 		return dst, true
 	}
-	seen[string(e.key)] = struct{}{}
+	e.seen[string(e.key)] = int32(res.States)
+	if e.prune {
+		e.pathIdx = append(e.pathIdx, int32(res.States))
+		e.onPath = append(e.onPath, true)
+	}
 	res.States++
 
 	if m.Done() {
@@ -257,7 +419,7 @@ func (e *enumerator) expand(res *EnumResult, seen map[string]struct{}, dst []cho
 		return dst, false
 	}
 	n := len(dst)
-	dst = e.choices(dst)
+	dst = appendChoices(m, dst)
 	if len(dst) == n {
 		// No transition possible and not Done: a deadlock terminal
 		// (e.g. a join on a thread that can never finish).
@@ -267,43 +429,92 @@ func (e *enumerator) expand(res *EnumResult, seen map[string]struct{}, dst []cho
 			Label: ir.NoLabel,
 			Msg:   "no thread can make progress",
 		})] = true
+		return dst, false
+	}
+	if e.prune && m.Steps()+e.opts.LocalRun+1 >= e.opts.MaxSteps {
+		// A transition from here may end past the step budget, where the
+		// walk stops without expanding: pruning needs every successor of
+		// a finished state expanded.
+		e.prune = false
+	}
+	if e.prune {
+		dst = e.skipAsleep(dst, n)
 	}
 	return dst, false
 }
 
-// apply takes one transition on the working machine.
-func (e *enumerator) apply(ch choice) {
-	m := e.cur
+// skipAsleep drops from dst[n:] the transitions in the current state's
+// sleep set.
+func (e *enumerator) skipAsleep(dst []choice, n int) []choice {
+	sleep := e.sleep[e.zcur:]
+	k := n
+next:
+	for i := n; i < len(dst); i++ {
+		for j := range sleep {
+			if sleep[j].same(&dst[i]) {
+				if pruneHook != nil {
+					pruneHook(e, &dst[i])
+				}
+				continue next
+			}
+		}
+		dst[k] = dst[i]
+		k++
+	}
+	return dst[:k]
+}
+
+// apply takes one transition on m and, while pruning, records its
+// footprint in ch.fp.
+func (e *enumerator) apply(m *interp.Machine, ch *choice) {
+	var fp footprint
 	switch {
 	case ch.flush:
+		fp.add(interp.StepAccess{Addr: ch.addr, Write: true})
 		m.FlushOne(ch.tid, ch.addr)
 	case ch.resolve:
+		fp.add(interp.StepAccess{Addr: m.Thread(ch.tid).DeferredLoads()[ch.idx].Addr, Read: true})
 		m.ResolveOne(ch.tid, ch.idx)
 	default:
+		if e.prune {
+			fp.add(m.NextStepAccess(ch.tid))
+		}
 		kind := m.StepThread(ch.tid)
 		// Local-run collapse (mirrors sched.Run's POR window): a thread
 		// that only touched registers or thread-local memory keeps going —
 		// interleaving those steps cannot change any observable outcome.
 		for n := 0; kind == interp.StepLocal && n < e.opts.LocalRun; n++ {
-			if m.Violation() != nil || !m.CanExec(ch.tid) {
+			if m.Violation() != nil {
 				break
+			}
+			if !m.CanExec(ch.tid) {
+				// Blocked on a join: where the run stops depends on
+				// another thread finishing.
+				fp.global = true
+				break
+			}
+			if e.prune {
+				fp.add(m.NextStepAccess(ch.tid))
 			}
 			kind = m.StepThread(ch.tid)
 		}
 	}
+	if m.Violation() != nil {
+		fp.global = true
+	}
+	ch.fp = fp
 }
 
-// choices enumerates the transitions available at the machine's current
-// state in deterministic order: exec per thread id ascending, then flush
-// per (thread id, flushable address in canonical buffer order), then
-// resolve per (thread id, deferred-load queue index). Flushes offer only
-// the currently flushable addresses — an address parked behind a
-// store-store barrier epoch is not a legal transition. Resolves offer
-// every queue index: out-of-order resolution is exactly the load
-// reordering the deferring models exhibit, so skipping indices would
-// prune reachable outcomes.
-func (e *enumerator) choices(dst []choice) []choice {
-	m := e.cur
+// appendChoices appends the transitions available in m's current state
+// in deterministic order: exec per thread id ascending, then flush per
+// (thread id, flushable address in canonical buffer order), then resolve
+// per (thread id, deferred-load queue index). Flushes offer only the
+// currently flushable addresses — an address parked behind a store-store
+// barrier epoch is not a legal transition. Resolves offer every queue
+// index: out-of-order resolution is exactly the load reordering the
+// deferring models exhibit, so skipping indices would prune reachable
+// outcomes.
+func appendChoices(m *interp.Machine, dst []choice) []choice {
 	n := m.NumThreads()
 	for tid := 0; tid < n; tid++ {
 		if m.CanExec(tid) {

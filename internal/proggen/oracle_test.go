@@ -107,16 +107,35 @@ func TestOracleGates(t *testing.T) {
 // TestInjectAddsAssert pins the assert-injection contract: a random
 // program whose weak-model behaviors strictly exceed SC gains a Forbidden
 // clause matching one of the extra outcomes, making it a synthesis target
-// with known ground truth.
+// with known ground truth. A program left unchanged comes back with the
+// enumerations inject computed, which check then reuses: each must equal
+// a fresh enumeration of the program.
 func TestInjectAddsAssert(t *testing.T) {
 	f := &fuzzer{cfg: smokeConfig(5, 0), rep: &FuzzReport{}}
 	f.cfg.Fill()
-	injected := 0
+	injected, handed := 0, 0
 	for idx := 0; idx < 40; idx++ {
 		p := RandomProg(5, idx)
-		q := f.inject(p, idx)
+		q, enums := f.inject(p, idx)
 		if len(q.Forbidden) == 0 {
+			if q != p {
+				t.Errorf("rand-%d: inject replaced a program it did not change", idx)
+			}
+			prog, err := p.Compile()
+			if err != nil {
+				t.Fatalf("rand-%d: %v", idx, err)
+			}
+			for _, r := range enums {
+				handed++
+				fresh := Enumerate(prog, r.Model, f.cfg.Enum)
+				if enumDigest(r) != enumDigest(fresh) {
+					t.Errorf("rand-%d %v: handed-over enumeration %s, fresh %s", idx, r.Model, enumDigest(r), enumDigest(fresh))
+				}
+			}
 			continue
+		}
+		if enums != nil {
+			t.Errorf("rand-%d: inject handed over enumerations of the program before its assert", idx)
 		}
 		injected++
 		if len(q.Forbidden) != len(q.Observe) {
@@ -137,6 +156,9 @@ func TestInjectAddsAssert(t *testing.T) {
 	}
 	if injected == 0 {
 		t.Error("no random program out of 40 earned an injected assert — generator too weak to exhibit relaxed behavior")
+	}
+	if handed == 0 {
+		t.Error("inject handed over no enumeration")
 	}
 	if f.rep.Injected != injected {
 		t.Errorf("report counts %d injections, saw %d", f.rep.Injected, injected)
