@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -88,5 +89,51 @@ func TestIncrementalRetiredRoundsInert(t *testing.T) {
 	third, _ := inc.MinimalModels(Budget{}, nil)
 	if len(third) != 1 || len(third[0]) != 0 {
 		t.Fatalf("round 2 (empty formula): got %v, want [[]]", third)
+	}
+}
+
+// TestMinimalModelsSearchPinned pins the search itself, not just the
+// model sets the brute-force tests compare: five growing rounds of a
+// seeded monotone formula, each cut by MaxModels, on one persistent
+// solver. A truncated enumeration returns a search-order-dependent
+// prefix, so the per-round Stats (conflicts, decisions, propagations) and
+// the digest of the model list change with any change to branching order,
+// watch order or conflict analysis. The fourth round runs past an
+// activity rescale. The expected values were recorded with the solver
+// that picked branch variables by a linear scan and kept watch lists in a
+// map, so they also pin that the order heap and the literal-indexed watch
+// lists search exactly as it did.
+func TestMinimalModelsSearchPinned(t *testing.T) {
+	want := []struct {
+		st     Stats
+		digest uint64
+	}{
+		{Stats{Models: 2000, Conflicts: 1150, Decisions: 157438, Propagations: 207460, Clauses: 50}, 0xc0c223931cd4539d},
+		{Stats{Models: 2000, Conflicts: 1136, Decisions: 137754, Propagations: 207630, Clauses: 100}, 0x7c4f424fd8e2dd5c},
+		{Stats{Models: 2000, Conflicts: 1445, Decisions: 131273, Propagations: 208988, Clauses: 150}, 0x92f71c3fd2402404},
+		{Stats{Models: 2000, Conflicts: 1464, Decisions: 117317, Propagations: 209090, Clauses: 200}, 0x366930df6c251584},
+		{Stats{Models: 2000, Conflicts: 1213, Decisions: 94385, Propagations: 207950, Clauses: 250}, 0x22b7781fde2accb1},
+	}
+	const nvars = 100
+	rng := rand.New(rand.NewSource(7))
+	inc := NewIncremental()
+	inc.EnsureVars(nvars)
+	var clauses [][]Lit
+	for r, w := range want {
+		if r > 0 {
+			inc.BeginRound()
+		}
+		clauses = append(clauses, randMonotone(rng, nvars, 50, 5)...)
+		for _, c := range clauses {
+			inc.AddClause(c)
+		}
+		var st Stats
+		models, truncated := inc.MinimalModels(Budget{MaxModels: 2000}, &st)
+		h := fnv.New64a()
+		fmt.Fprint(h, models)
+		if st != w.st || h.Sum64() != w.digest || !truncated {
+			t.Errorf("round %d: stats %+v, digest %#016x, truncated %v; want %+v, %#016x, true",
+				r, st, h.Sum64(), truncated, w.st, w.digest)
+		}
 	}
 }
