@@ -65,7 +65,6 @@ type Incremental struct {
 
 	// Enumeration scratch, reused across rounds.
 	cur     []bool // candidate assignment during greedy shrink
-	seen    modelSet
 	assump  [1]Lit
 	litBuf  []Lit
 	deadMin []int // backing for shrink results
@@ -168,17 +167,17 @@ func (inc *Incremental) MinimalModels(budget Budget, st *Stats) (models [][]int,
 		inc.cur = make([]bool, inc.nvars+1)
 	}
 	inc.cur = inc.cur[:inc.nvars+1]
-	inc.seen.reset()
 	var out [][]int
 	inc.assump[0] = Lit(inc.guard)
 	for {
 		if err := inc.s.SolveUnderAssumptions(inc.assump[:]); err != nil {
 			break // unsatisfiable under the guard: enumeration exhausted
 		}
+		// min is new: every earlier minimal model M was blocked, so the
+		// solver's model lacks some variable of M, and so does its subset
+		// min.
 		min := inc.shrink()
-		if inc.seen.insert(min) {
-			out = append(out, append([]int(nil), min...))
-		}
+		out = append(out, append([]int(nil), min...))
 		if len(min) == 0 {
 			break // empty model satisfies everything: stop
 		}
@@ -262,59 +261,5 @@ func coversPositive(clauses [][]Lit, cur []bool) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// modelSet deduplicates variable-set models with integer keys: models are
-// stored in a flat arena and probed by FNV-1a hash with exact collision
-// checks, allocation-free at steady state.
-type modelSet struct {
-	buckets map[uint64][]int32
-	arena   []int32
-	offs    []int32 // model i is arena[offs[i]:offs[i+1]]
-}
-
-func (ms *modelSet) reset() {
-	if ms.buckets == nil {
-		ms.buckets = make(map[uint64][]int32)
-	} else {
-		clear(ms.buckets)
-	}
-	ms.arena = ms.arena[:0]
-	ms.offs = append(ms.offs[:0], 0)
-}
-
-// insert adds the model if absent; reports whether it was new.
-func (ms *modelSet) insert(model []int) bool {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range model {
-		h ^= uint64(uint32(v))
-		h *= prime64
-	}
-	for _, idx := range ms.buckets[h] {
-		got := ms.arena[ms.offs[idx]:ms.offs[idx+1]]
-		if len(got) != len(model) {
-			continue
-		}
-		eq := true
-		for i, v := range got {
-			if int(v) != model[i] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return false
-		}
-	}
-	ms.buckets[h] = append(ms.buckets[h], int32(len(ms.offs)-1))
-	for _, v := range model {
-		ms.arena = append(ms.arena, int32(v))
-	}
-	ms.offs = append(ms.offs, int32(len(ms.arena)))
 	return true
 }

@@ -37,11 +37,11 @@ const (
 	vfalse
 )
 
-// Solver is an incremental CDCL solver. The zero value is usable.
+// Solver is an incremental CDCL solver. Use NewSolver.
 type Solver struct {
 	numVars int
-	clauses []*clause // problem + learnt clauses
-	watches map[Lit][]*clause
+	clauses []*clause   // problem + learnt clauses
+	watches [][]*clause // by litIndex: the clauses to visit when the literal becomes true
 
 	assign   []tribool // 1-indexed by variable
 	level    []int     // decision level per variable
@@ -52,8 +52,14 @@ type Solver struct {
 
 	activity []float64 // per-variable VSIDS activity
 	varInc   float64
+	order    varOrder // unassigned variables by activity, for branching
 
 	phase []bool // saved phases
+
+	seen    []bool // analyze scratch, by variable; all false between calls
+	litSeen []bool // AddClause dedupe scratch, by litIndex; all false between calls
+	addBuf  []Lit  // AddClause scratch
+	learnt  []Lit  // analyze scratch
 
 	unsat bool // a top-level conflict was derived
 
@@ -78,6 +84,15 @@ func (s *Solver) Propagations() int64 { return s.totalPropagations }
 // Restarts reports the number of search restarts across all Solve calls.
 func (s *Solver) Restarts() int64 { return s.totalRestarts }
 
+// litIndex maps a literal to its slot in the per-literal tables: 2v for
+// +v, 2v+1 for -v.
+func litIndex(l Lit) int {
+	if l < 0 {
+		return int(-l)<<1 | 1
+	}
+	return int(l) << 1
+}
+
 type clause struct {
 	lits    []Lit
 	learnt  bool
@@ -86,29 +101,33 @@ type clause struct {
 
 // NewSolver returns an empty solver.
 func NewSolver() *Solver {
-	return &Solver{
-		watches: make(map[Lit][]*clause),
-		varInc:  1,
-	}
+	s := &Solver{varInc: 1}
+	s.order.act = &s.activity
+	return s
 }
 
 // NewVar introduces a fresh variable and returns its index (>= 1).
 func (s *Solver) NewVar() int {
+	if len(s.assign) == 0 {
+		s.grow() // index 0 is padding so variables are 1-indexed
+	}
 	s.numVars++
+	s.grow()
+	s.order.push(s.numVars)
+	return s.numVars
+}
+
+// grow appends one variable's slots to the per-variable and per-literal
+// tables.
+func (s *Solver) grow() {
 	s.assign = append(s.assign, unassigned)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
-	if len(s.assign) == 1 {
-		// index 0 is padding so variables are 1-indexed
-		s.assign = append(s.assign, unassigned)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
-		s.activity = append(s.activity, 0)
-		s.phase = append(s.phase, false)
-	}
-	return s.numVars
+	s.seen = append(s.seen, false)
+	s.watches = append(s.watches, nil, nil)
+	s.litSeen = append(s.litSeen, false, false)
 }
 
 // NumVars returns the number of variables introduced so far.
@@ -132,19 +151,9 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		return nil
 	}
 	// Deduplicate and drop tautologies.
-	seen := make(map[Lit]bool, len(lits))
-	out := lits[:0:0]
-	for _, l := range lits {
-		if l == 0 || l.Var() > s.numVars {
-			return fmt.Errorf("sat: literal %d references unknown variable", l)
-		}
-		if seen[l.Neg()] {
-			return nil // tautology, trivially satisfied
-		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
+	out, taut, err := s.dedupe(lits)
+	if err != nil || taut {
+		return err
 	}
 	// Remove literals already false at level 0; a clause true at level 0 is
 	// dropped.
@@ -185,9 +194,36 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	return nil
 }
 
+// dedupe copies lits into s.addBuf without repeated literals, reporting
+// an unknown variable as an error and a clause holding both l and ¬l as
+// taut.
+func (s *Solver) dedupe(lits []Lit) (out []Lit, taut bool, err error) {
+	out = s.addBuf[:0]
+	for _, l := range lits {
+		if l == 0 || l.Var() > s.numVars {
+			err = fmt.Errorf("sat: literal %d references unknown variable", l)
+			break
+		}
+		if s.litSeen[litIndex(l.Neg())] {
+			taut = true
+			break
+		}
+		if i := litIndex(l); !s.litSeen[i] {
+			s.litSeen[i] = true
+			out = append(out, l)
+		}
+	}
+	for _, l := range out {
+		s.litSeen[litIndex(l)] = false
+	}
+	s.addBuf = out[:0]
+	return out, taut, err
+}
+
 func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], c)
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], c)
+	i, j := litIndex(c.lits[0].Neg()), litIndex(c.lits[1].Neg())
+	s.watches[i] = append(s.watches[i], c)
+	s.watches[j] = append(s.watches[j], c)
 }
 
 func (s *Solver) enqueue(l Lit, from *clause) bool {
@@ -217,7 +253,7 @@ func (s *Solver) propagate() *clause {
 		l := s.trail[s.qhead]
 		s.qhead++
 		s.totalPropagations++
-		ws := s.watches[l]
+		ws := s.watches[litIndex(l)]
 		kept := ws[:0]
 		var conflict *clause
 		for i := 0; i < len(ws); i++ {
@@ -239,7 +275,8 @@ func (s *Solver) propagate() *clause {
 			for k := 2; k < len(c.lits); k++ {
 				if s.valueLit(c.lits[k]) != vfalse {
 					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], c)
+					w := litIndex(c.lits[1].Neg())
+					s.watches[w] = append(s.watches[w], c)
 					moved = true
 					break
 				}
@@ -253,7 +290,7 @@ func (s *Solver) propagate() *clause {
 				conflict = c
 			}
 		}
-		s.watches[l] = kept
+		s.watches[litIndex(l)] = kept
 		if conflict != nil {
 			return conflict
 		}
@@ -268,14 +305,19 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling can round distinct activities to equal ones (or to 0),
+		// which the tie-break on the variable index then orders anew.
+		s.order.rebuild()
+		return
 	}
+	s.order.raised(v)
 }
 
 // analyze derives a 1UIP learnt clause from the conflict; returns the
 // clause and the backjump level.
 func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 for the asserting literal
-	seen := make([]bool, s.numVars+1)
+	learnt := append(s.learnt[:0], 0) // slot 0 for the asserting literal
+	seen := s.seen
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
@@ -311,6 +353,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		c = s.reason[p.Var()]
 	}
 	learnt[0] = p.Neg()
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false // the only entries left set
+	}
+	s.learnt = learnt[:0]
 
 	// Backjump level = highest level among the other literals.
 	bj := 0
@@ -339,20 +385,24 @@ func (s *Solver) backtrackTo(level int) {
 		s.phase[v] = s.assign[v] == vtrue
 		s.assign[v] = unassigned
 		s.reason[v] = nil
+		s.order.push(v)
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
 }
 
+// pickBranchVar returns the unassigned variable of highest activity, the
+// lowest-numbered one on ties, or 0 when every variable is assigned.
+// Assigned variables leave the order lazily, when they reach its top;
+// backtrackTo puts every variable it unassigns back.
 func (s *Solver) pickBranchVar() int {
-	best, bestAct := 0, -1.0
-	for v := 1; v <= s.numVars; v++ {
-		if s.assign[v] == unassigned && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	for len(s.order.heap) > 0 {
+		if v := s.order.pop(); s.assign[v] == unassigned {
+			return v
 		}
 	}
-	return best
+	return 0
 }
 
 // ErrUnsat is returned by Solve when the formula is unsatisfiable.
@@ -487,7 +537,7 @@ func (s *Solver) SolveUnderAssumptions(assumps []Lit) error {
 					return ErrUnsat
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true}
 				s.clauses = append(s.clauses, c)
 				s.watch(c)
 				s.enqueue(learnt[0], c)

@@ -365,3 +365,22 @@ func TestLitHelpers(t *testing.T) {
 		t.Error("Neg wrong")
 	}
 }
+
+// TestBranchOrderAfterRescale: rescaling activities can round distinct
+// activities to equal ones, and the branching order must then fall back
+// to the lowest variable, as a linear scan would.
+func TestBranchOrderAfterRescale(t *testing.T) {
+	s := NewSolver()
+	newVars(s, 3)
+	s.activity[2] = 1e-310 // above var 1 until scaled to 0
+	s.order.raised(2)
+	s.varInc = 2e100
+	s.bumpVar(3) // crosses 1e100: every activity scales by 1e-100
+	var got []int
+	for v := s.pickBranchVar(); v != 0; v = s.pickBranchVar() {
+		got = append(got, v)
+	}
+	if fmt.Sprint(got) != "[3 1 2]" {
+		t.Fatalf("branching order after the rescale = %v, want [3 1 2]", got)
+	}
+}
