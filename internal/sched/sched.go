@@ -8,8 +8,10 @@
 //
 // The scheduler also applies the paper's partial-order reduction: a thread
 // that keeps accessing only registers or provably thread-local memory is
-// not context-switched (bounded by PORWindow so that local infinite loops
-// still yield).
+// not context-switched. The window is bounded by PORWindow so that local
+// infinite loops still yield: a pick runs one transition and at most
+// PORWindow more, each only while the one before it was local, so up to
+// PORWindow+1 local steps can follow one scheduling decision.
 package sched
 
 import (
@@ -73,8 +75,11 @@ type Options struct {
 	// MaxSteps bounds the execution; runs that exceed it are reported with
 	// StepLimitHit and treated as inconclusive.
 	MaxSteps int
-	// PORWindow bounds consecutive local-only steps a thread may take
-	// without a scheduling decision. 0 disables partial-order reduction.
+	// PORWindow bounds the steps a picked thread takes after the picked
+	// one without a scheduling decision: each further step runs only
+	// while the step before it was local, so a pick runs at most
+	// PORWindow+1 steps, all of them local except possibly the last. 0
+	// disables partial-order reduction.
 	PORWindow int
 	// Starve enables the starvation discipline: the first buffered store
 	// the scheduler is asked to flush names a per-execution victim
@@ -483,27 +488,14 @@ func (w *worker) run(ctx context.Context, c *interp.Compiled, model memmodel.Mod
 			}
 		}
 		refresh, refreshTid = refreshThread, tid
-		kind := m.StepThread(tid)
-		if tr != nil {
-			tr.record(tid, false, 0)
-		}
 		// Partial-order reduction: keep running a thread that only touches
 		// local state — interleaving such steps with other threads cannot
-		// change any observable outcome.
-		for local := 0; kind == interp.StepLocal && local < opts.PORWindow; local++ {
-			if m.Violation() != nil || m.Steps() >= maxSteps || !m.CanExec(tid) {
-				break
-			}
-			if opts.StarveLoads && !w.vow.spent && m.NextForcesResolve(tid) {
-				// The load-starvation vow guards force-resolving
-				// instructions at pick time; stepping into one inside the
-				// reduction window would bypass it.
-				break
-			}
-			kind = m.StepThread(tid)
-			if tr != nil {
-				tr.record(tid, false, 0)
-			}
+		// change any observable outcome. The load-starvation vow guards
+		// force-resolving instructions at pick time, so the window stops
+		// before one while the vow can still be sworn.
+		ran, _ := m.RunLocal(tid, opts.PORWindow, maxSteps, opts.StarveLoads && !w.vow.spent)
+		if tr != nil {
+			tr.recordSteps(tid, ran)
 		}
 	}
 	res := m.Result(true)
@@ -591,7 +583,7 @@ func (w *worker) tryFlush(t *interp.Thread, tid int, starve, forced bool, tr *Tr
 					if k == 0 {
 						m.FlushOne(tid, a)
 						if tr != nil {
-							tr.record(tid, true, a)
+							tr.recordFlush(tid, a)
 						}
 						return true
 					}
@@ -603,7 +595,7 @@ func (w *worker) tryFlush(t *interp.Thread, tid int, starve, forced bool, tr *Tr
 	addr := pend[w.rng.Intn(len(pend))]
 	m.FlushOne(tid, addr)
 	if tr != nil {
-		tr.record(tid, true, addr)
+		tr.recordFlush(tid, addr)
 	}
 	return true
 }

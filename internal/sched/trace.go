@@ -53,18 +53,22 @@ func (tr *Trace) String() string {
 // Len returns the number of decisions.
 func (tr *Trace) Len() int { return len(tr.Decisions) }
 
-// record appends a decision, merging consecutive execution bursts by the
-// same thread.
-func (tr *Trace) record(thread int, flush bool, addr int64) {
-	if !flush && len(tr.Decisions) > 0 {
+// recordFlush appends a flush decision.
+func (tr *Trace) recordFlush(thread int, addr int64) {
+	tr.Decisions = append(tr.Decisions, Decision{Thread: thread, Flush: true, Addr: addr, Steps: 1})
+}
+
+// recordSteps appends n execution steps of thread, merging them into the
+// last decision when it is an execution burst of the same thread.
+func (tr *Trace) recordSteps(thread, n int) {
+	if len(tr.Decisions) > 0 {
 		last := &tr.Decisions[len(tr.Decisions)-1]
 		if !last.Flush && !last.Resolve && last.Thread == thread {
-			last.Steps++
+			last.Steps += n
 			return
 		}
 	}
-	d := Decision{Thread: thread, Flush: flush, Addr: addr, Steps: 1}
-	tr.Decisions = append(tr.Decisions, d)
+	tr.Decisions = append(tr.Decisions, Decision{Thread: thread, Steps: n})
 }
 
 // recordResolve appends a deferred-load resolution decision.
