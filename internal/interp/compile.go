@@ -182,9 +182,6 @@ func (c *Compiled) Fingerprint() uint64 {
 			if in.HasVal {
 				flags |= 1
 			}
-			if in.ThreadLocal {
-				flags |= 2
-			}
 			w64(flags)
 		}
 	}

@@ -30,7 +30,7 @@ func transitions(m *interp.Machine, dst []transition) []transition {
 		if m.CanExec(tid) {
 			dst = append(dst, transition{tid: tid})
 		}
-		for _, a := range m.Thread(tid).Buffers().FlushableAddrsView() {
+		for _, a := range m.Thread(tid).Buffers().PendingAddrsView() {
 			dst = append(dst, transition{tid: tid, flush: true, addr: a})
 		}
 		for idx := 0; idx < m.DeferredCount(tid); idx++ {
@@ -55,16 +55,11 @@ func stateKey(m *interp.Machine) []byte { return m.AppendStateKey(nil) }
 
 // sameState compares everything a copy must reproduce: the state key
 // (memory, units, output, history, frames, registers, operation depths,
-// buffers, deferred loads), each thread's current store epoch, and the
-// Result (steps, violation, exit code, watched-fence bits).
+// buffers, deferred loads) and the Result (steps, violation, exit code,
+// watched-fence bits).
 func sameState(a, b *interp.Machine) bool {
 	if !bytes.Equal(stateKey(a), stateKey(b)) || a.NumThreads() != b.NumThreads() {
 		return false
-	}
-	for tid := 0; tid < a.NumThreads(); tid++ {
-		if a.Thread(tid).Buffers().Epoch() != b.Thread(tid).Buffers().Epoch() {
-			return false
-		}
 	}
 	// History and output are in the key; the rest of the Result is not.
 	ra, rb := a.Result(false), b.Result(false)
@@ -91,7 +86,7 @@ int main() {
 `
 
 // copyPrograms are the property test's subjects: the litmus suite (forks
-// after the first copy, store-store barrier epochs in MP+fence, deferred
+// after the first copy, stores buffered at several addresses, deferred
 // loads under RMO), chase-lev, whose operations carry arguments into the
 // history, and racyArgs.
 func copyPrograms(t *testing.T) (names []string, out []*ir.Program) {
@@ -142,7 +137,7 @@ func TestCopyFromTracksSource(t *testing.T) {
 	var pool [3]interp.Machine
 	var heldKey []byte
 	var trs []transition
-	var copies, twoDeferred, epochs, args, violations, touched int
+	var copies, twoDeferred, twoAddrs, args, violations, touched int
 	names, programs := copyPrograms(t)
 	for i, prog := range programs {
 		name, c := names[i], compileWatchingFences(t, prog)
@@ -169,8 +164,8 @@ func TestCopyFromTracksSource(t *testing.T) {
 						if src.DeferredCount(tid) >= 2 {
 							twoDeferred++
 						}
-						if src.Thread(tid).Buffers().Epoch() > 0 {
-							epochs++
+						if len(src.Thread(tid).Buffers().PendingAddrsView()) >= 2 {
+							twoAddrs++
 						}
 					}
 					for _, e := range src.History() {
@@ -210,9 +205,10 @@ func TestCopyFromTracksSource(t *testing.T) {
 		t.Fatal("running and resetting the source moved the last held copy")
 	}
 	// The walks must have reached what the copy has to get right.
-	if twoDeferred == 0 || epochs == 0 || args == 0 || violations == 0 || touched == 0 {
-		t.Errorf("walks covered %d states with two deferred loads, %d with a barrier epoch, %d history arguments, "+
-			"%d violating and %d fence-touching walks: want all > 0", twoDeferred, epochs, args, violations, touched)
+	if twoDeferred == 0 || twoAddrs == 0 || args == 0 || violations == 0 || touched == 0 {
+		t.Errorf("walks covered %d states with two deferred loads, %d with stores buffered at two addresses, "+
+			"%d history arguments, %d violating and %d fence-touching walks: want all > 0",
+			twoDeferred, twoAddrs, args, violations, touched)
 	}
 }
 

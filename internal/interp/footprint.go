@@ -30,7 +30,7 @@ type StepAccess struct {
 // NextStepAccess predicts the footprint of StepThread(tid) in the current
 // state, mirroring its decision sequence: a finished thread's flush, a
 // forced resolve, a forced flush, then the instruction itself. It reads
-// the state only (the flushable-address scratch view aside) and returns
+// the state only (the pending-address scratch view aside) and returns
 // the zero StepAccess for a step that touches nothing shared or cannot
 // happen. Whether the step violates memory safety is not predicted: the
 // caller checks Violation after the step.
@@ -40,7 +40,7 @@ func (m *Machine) NextStepAccess(tid int) StepAccess {
 	}
 	t := &m.threads[tid]
 	if t.Finished() {
-		if fl := t.buf.FlushableAddrsView(); len(fl) > 0 {
+		if fl := t.buf.PendingAddrsView(); len(fl) > 0 {
 			return StepAccess{Addr: fl[0], Write: true}
 		}
 		return StepAccess{}
@@ -66,15 +66,12 @@ func (m *Machine) NextStepAccess(tid int) StepAccess {
 		return StepAccess{Addr: a, Read: true, Write: true}
 	case ir.OpLoad:
 		addr := regs[in.A]
-		if in.ThreadLocal {
-			return StepAccess{Addr: addr, Read: true}
-		}
 		if _, fwd := t.buf.Lookup(addr); fwd || m.model.DefersLoads() {
 			return StepAccess{} // forwarded, or issued into the queue
 		}
 		return StepAccess{Addr: addr, Read: true}
 	case ir.OpStore:
-		if in.ThreadLocal || m.model == memmodel.SC {
+		if m.model == memmodel.SC {
 			return StepAccess{Addr: regs[in.A], Write: true}
 		}
 	case ir.OpCall:
@@ -90,16 +87,8 @@ func (m *Machine) NextStepAccess(tid int) StepAccess {
 // forcedFlushAccess is the footprint of forcedFlush(tid, addr): the
 // address whose oldest entry it commits.
 func (m *Machine) forcedFlushAccess(t *Thread, addr int64) StepAccess {
-	fl := t.buf.FlushableAddrsView()
-	if len(fl) == 0 {
-		return StepAccess{}
+	if !m.model.RelaxesStoreStore() || addr < 0 {
+		addr = t.buf.PendingAddrsView()[0]
 	}
-	if m.model.RelaxesStoreStore() && addr >= 0 && !t.buf.EmptyFor(addr) {
-		for _, a := range fl {
-			if a == addr {
-				return StepAccess{Addr: addr, Write: true}
-			}
-		}
-	}
-	return StepAccess{Addr: fl[0], Write: true}
+	return StepAccess{Addr: addr, Write: true}
 }

@@ -26,8 +26,7 @@ func runAll(t *testing.T, m *Machine, maxSteps int) {
 				break
 			}
 			if m.CanFlush(tid) {
-				fl := m.Thread(tid).Buffers().FlushableAddrs()
-				m.FlushOne(tid, fl[0])
+				m.FlushOne(tid, m.Thread(tid).Buffers().PendingAddrs()[0])
 				moved = true
 				break
 			}
@@ -338,26 +337,28 @@ func TestLitmusMPPSOWithFence(t *testing.T) {
 	p := buildMP(t, true)
 	m := NewMachine(p, memmodel.PSO, nil)
 	stepUntil(t, m, 0, func() bool { return m.NumThreads() == 3 })
-	// Run producer to completion. fence(st-st) is an epoch barrier, not a
-	// drain: both stores may still be buffered afterwards, but flag can no
-	// longer commit before data.
-	stepUntil(t, m, 1, func() bool { return m.Thread(1).Finished() })
-	dataAddr := p.Global("data").Addr
-	flagAddr := p.Global("flag").Addr
-	if !m.Thread(1).Buffers().EmptyFor(flagAddr) {
-		if k := m.FlushOne(1, flagAddr); k != StepBlocked {
-			t.Error("flag flushed across the store-store barrier")
-		}
-		if fl := m.Thread(1).Buffers().FlushableAddrs(); len(fl) != 1 || fl[0] != dataAddr {
-			t.Errorf("flushable = %v, want data only", fl)
-		}
-		m.FlushOne(1, dataAddr)
+	// Run the producer up to its fence: data is buffered.
+	stepUntil(t, m, 1, func() bool { return m.Thread(1).Buffers().Len() == 1 })
+	// fence(st-st) drains (Semantics 1): the next step is a forced flush
+	// of data, and the fence retires on empty buffers.
+	if k := exec1(t, m, 1); k != StepFlush {
+		t.Fatalf("step before fence(st-st) with data buffered = %v, want StepFlush", k)
+	}
+	if !m.Thread(1).Buffers().Empty() {
+		t.Fatalf("buffers after the forced flush: %+v, want empty", m.Thread(1).Buffers().All())
 	}
 	if v, _ := m.GlobalValue("data"); v != 42 {
-		t.Errorf("data not committed after draining its buffer: %d", v)
+		t.Errorf("data not committed by the fence's drain: %d", v)
 	}
-	if v, _ := m.GlobalValue("flag"); v != 0 {
-		t.Error("flag committed before data despite the barrier")
+	if k := exec1(t, m, 1); k != StepShared {
+		t.Fatalf("fence step = %v, want StepShared (the fence retiring)", k)
+	}
+	// Flag may now sit in the buffer, but data is already in memory:
+	// however late flag commits, a consumer that sees it sees data.
+	stepUntil(t, m, 1, func() bool { return m.Thread(1).Finished() })
+	flagAddr := p.Global("flag").Addr
+	if fl := m.Thread(1).Buffers().PendingAddrs(); len(fl) != 1 || fl[0] != flagAddr {
+		t.Errorf("pending after the fence = %v, want flag only", fl)
 	}
 	m.FlushOne(1, flagAddr)
 	stepUntil(t, m, 2, func() bool { return len(m.Output()) == 1 })

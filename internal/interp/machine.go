@@ -536,8 +536,8 @@ func (m *Machine) RegValue(tid int, r ir.Reg) (int64, bool) {
 type StepKind uint8
 
 const (
-	// StepLocal executed an instruction touching only registers or
-	// provably thread-local memory (partial-order-reduction candidates).
+	// StepLocal executed an instruction touching only the thread's
+	// registers and control flow (partial-order-reduction candidates).
 	StepLocal StepKind = iota
 	// StepShared executed an instruction visible to other threads.
 	StepShared
@@ -553,10 +553,8 @@ const (
 // FlushOne commits the oldest pending store of thread tid for the given
 // address (per-address-buffer models) or the FIFO head (TSO; addr
 // ignored) to main memory, performing the memory-safety check of the
-// FLUSH transition. Under per-address models the address must be
-// currently flushable (see Buffers.FlushableAddrsView) — the oldest entry
-// of an address parked behind a store-store barrier cannot commit yet and
-// the step reports StepBlocked.
+// FLUSH transition. Under per-address models an address with nothing
+// pending reports StepBlocked.
 func (m *Machine) FlushOne(tid int, addr int64) StepKind {
 	t := &m.threads[tid]
 	e, ok := t.buf.FlushOldest(addr)
@@ -671,23 +669,16 @@ func (m *Machine) forcedResolveIdx(t *Thread, fr *frame, in *ir.Instr) int {
 }
 
 // forcedFlush performs one flush step on behalf of an instruction that
-// requires (some of) the buffers to drain before it can execute. Under
-// per-address-buffer models a CAS drains only its own address when that
-// address is flushable; otherwise (and under TSO) the oldest flushable
-// entry goes first — store-store barriers can park the wanted address
-// behind entries of an earlier epoch, which must then drain first.
+// requires (some of) the buffers to drain before it can execute; the
+// buffers must not be empty. Under per-address-buffer models a CAS
+// (addr >= 0) drains only its own address; otherwise (and under TSO) the
+// oldest pending entry goes first.
 func (m *Machine) forcedFlush(tid int, addr int64) StepKind {
 	t := &m.threads[tid]
-	if m.model.RelaxesStoreStore() && addr >= 0 && !t.buf.EmptyFor(addr) {
-		if k := m.FlushOne(tid, addr); k != StepBlocked {
-			return k
-		}
+	if !m.model.RelaxesStoreStore() || addr < 0 {
+		addr = t.buf.PendingAddrsView()[0]
 	}
-	fl := t.buf.FlushableAddrsView()
-	if len(fl) == 0 {
-		return StepBlocked
-	}
-	return m.FlushOne(tid, fl[0])
+	return m.FlushOne(tid, addr)
 }
 
 // StepThread performs one transition of thread tid: a forced flush if the
@@ -703,8 +694,7 @@ func (m *Machine) StepThread(tid int) StepKind {
 		if t.buf.Empty() {
 			return StepBlocked
 		}
-		fl := t.buf.FlushableAddrsView()
-		return m.FlushOne(tid, fl[0])
+		return m.FlushOne(tid, t.buf.PendingAddrsView()[0])
 	}
 	return m.stepAt(tid, t)
 }
@@ -796,9 +786,7 @@ func (m *Machine) RunLocal(tid, window, maxSteps int, guard bool) (n int, kind S
 // runFast executes up to budget consecutive register operations and
 // branches of t's top frame — StepLocal instructions that can neither
 // fail nor need a forced resolve, since t has no deferred loads — and
-// returns how many it executed. Thread-local loads and stores stay on the
-// slow path: the front end marks none, so a fast path for them would run
-// on no real program.
+// returns how many it executed.
 func (m *Machine) runFast(t *Thread, budget int) int {
 	fr := t.top()
 	code, rx := fr.fn.code, fr.fn.rx
@@ -868,13 +856,6 @@ func (m *Machine) exec(t *Thread, fr *frame, in *ir.Instr) StepKind {
 
 	case ir.OpLoad:
 		addr := regs[in.A]
-		if in.ThreadLocal {
-			if !m.checkAddr(t.ID, in.Label, addr, "load") {
-				return StepShared
-			}
-			regs[in.Dst] = m.mem[addr]
-			break // stays StepLocal
-		}
 		kind = StepShared
 		m.observe(t, in.Label, AccLoad, addr)
 		if v, ok := t.buf.Lookup(addr); ok {
@@ -894,13 +875,6 @@ func (m *Machine) exec(t *Thread, fr *frame, in *ir.Instr) StepKind {
 	case ir.OpStore:
 		addr := regs[in.A]
 		val := regs[in.B]
-		if in.ThreadLocal {
-			if !m.checkAddr(t.ID, in.Label, addr, "store") {
-				return StepShared
-			}
-			m.mem[addr] = val
-			break
-		}
 		kind = StepShared
 		m.observe(t, in.Label, AccStore, addr)
 		if m.model == memmodel.SC {
@@ -927,15 +901,10 @@ func (m *Machine) exec(t *Thread, fr *frame, in *ir.Instr) StepKind {
 		}
 
 	case ir.OpFence:
-		// Store-draining kinds arrive with empty buffers (forced flushes
+		// Store-ordering kinds arrive with empty buffers (forced flushes
 		// ran) and load-ordering kinds with an empty queue (forced resolves
-		// ran). Store-*ordering* kinds instead seal the current buffer
-		// content behind an epoch barrier — nothing drains, but later
-		// stores cannot overtake earlier ones.
+		// ran).
 		kind = StepShared
-		if in.Kind.BarriersStores() {
-			t.buf.Barrier()
-		}
 		if w := fr.fn.rx[pc].watch; w >= 0 {
 			m.touched |= 1 << uint(w)
 		}
@@ -1102,13 +1071,9 @@ func (m *Machine) exec(t *Thread, fr *frame, in *ir.Instr) StepKind {
 // deferred loads, each of which may still take effect after the access
 // being observed. Observation happens at issue time, so the pending set
 // is exactly the set of program-order-earlier accesses the model may
-// reorder past this one. A buffered store separated from an issuing
-// store by an epoch barrier is excluded: the barrier forces it to commit
-// before the new entry, so the pair cannot reorder and no predicate
-// arises. The filter does not apply to loads (the barrier leaves st-ld
-// reordering possible) nor to CAS (its write bypasses the buffers, so
-// epochs do not gate it — mirrored statically by killsBeforeCas). The
-// slice handed to the Observer is scratch space reused across calls —
+// reorder past this one: every store-ordering fence drains, so no
+// buffered store is separated from the access by a fence. The slice
+// handed to the Observer is scratch space reused across calls —
 // observers must not retain it (see Observer).
 func (m *Machine) observe(t *Thread, l ir.Label, kind AccessKind, addr int64) {
 	if m.obs == nil || m.model == memmodel.SC {
@@ -1117,11 +1082,7 @@ func (m *Machine) observe(t *Thread, l ir.Label, kind AccessKind, addr int64) {
 	entries := t.buf.AppendPendingOther(m.entScratch[:0], addr)
 	m.entScratch = entries[:0]
 	pend := m.pendScratch[:0]
-	epoch := t.buf.Epoch()
 	for _, e := range entries {
-		if kind == AccStore && e.Epoch < epoch {
-			continue
-		}
 		pend = append(pend, PendingStore{Label: e.Label, Addr: e.Addr})
 	}
 	for _, d := range t.defq {

@@ -45,44 +45,6 @@ func TestForkActsAsBarrier(t *testing.T) {
 	}
 }
 
-func TestThreadLocalAccessesBypassBuffers(t *testing.T) {
-	// A store marked ThreadLocal writes memory immediately even under PSO
-	// and is classified as a local step (POR candidate).
-	p := ir.NewProgram()
-	if err := p.AddGlobal(&ir.Global{Name: "slot", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	b := ir.NewFuncBuilder(p, "main", 0)
-	ga := b.GlobalAddr("slot")
-	v := b.Const(5)
-	st := b.Store(ga, v, "slot")
-	lv, ll := b.Load(ga, "slot")
-	b.RetVal(lv)
-	finish(t, b)
-	mustLink(t, p)
-	// Mark both accesses thread-local.
-	p.InstrAt(st).ThreadLocal = true
-	p.InstrAt(ll).ThreadLocal = true
-
-	m := NewMachine(p, memmodel.PSO, nil)
-	// The first four steps (&slot, const, store, load) are all local; the
-	// trailing ret is a scheduling point by design and not checked.
-	for i := 0; i < 4; i++ {
-		if k := m.StepThread(0); k != StepLocal {
-			t.Errorf("step %d = %v, want local", i, k)
-		}
-	}
-	for !m.Done() {
-		m.StepThread(0)
-	}
-	if m.ExitCode() != 5 {
-		t.Errorf("exit = %d, want 5", m.ExitCode())
-	}
-	if !m.Thread(0).Buffers().Empty() {
-		t.Error("thread-local store entered the buffer")
-	}
-}
-
 func TestStepKindClassification(t *testing.T) {
 	p := ir.NewProgram()
 	if err := p.AddGlobal(&ir.Global{Name: "g", Size: 1}); err != nil {

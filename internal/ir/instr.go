@@ -46,13 +46,6 @@ type Instr struct {
 	HasVal bool   // OpRet: register A carries a value
 	Msg    string // OpAssert message
 
-	// ThreadLocal marks a Load/Store that the front end proved can only
-	// touch memory private to the executing thread (a non-escaping stack
-	// slot). Such accesses bypass the store buffers (the paper:
-	// "thread-local variables access the memory directly") and are not
-	// scheduling points for the partial-order-reducing scheduler.
-	ThreadLocal bool
-
 	// Comment optionally records the source construct (variable name,
 	// line) for disassembly and reporting.
 	Comment string
@@ -82,14 +75,8 @@ func (in *Instr) String() string {
 		fmt.Fprintf(&b, "r%d = neg r%d", in.Dst, in.A)
 	case OpLoad:
 		fmt.Fprintf(&b, "r%d = load [r%d]", in.Dst, in.A)
-		if in.ThreadLocal {
-			b.WriteString(" {local}")
-		}
 	case OpStore:
 		fmt.Fprintf(&b, "store [r%d], r%d", in.A, in.B)
-		if in.ThreadLocal {
-			b.WriteString(" {local}")
-		}
 	case OpCas:
 		fmt.Fprintf(&b, "r%d = cas [r%d], r%d, r%d", in.Dst, in.A, in.B, in.C)
 	case OpFence:
@@ -179,20 +166,8 @@ func (in *Instr) Uses(dst []Reg) []Reg {
 	return dst
 }
 
-// IsSharedStore reports whether the instruction writes shared memory
-// through the memory model (a buffered store).
-func (in *Instr) IsSharedStore() bool {
-	return in.Op == OpStore && !in.ThreadLocal
-}
-
-// IsSharedLoad reports whether the instruction reads shared memory through
-// the memory model.
-func (in *Instr) IsSharedLoad() bool {
-	return in.Op == OpLoad && !in.ThreadLocal
-}
-
 // IsSharedAccess reports whether the instruction touches shared memory
 // (load, store, or CAS through the memory model).
 func (in *Instr) IsSharedAccess() bool {
-	return in.IsSharedStore() || in.IsSharedLoad() || in.Op == OpCas
+	return in.Op == OpLoad || in.Op == OpStore || in.Op == OpCas
 }

@@ -263,17 +263,15 @@ func TestFenceKindString(t *testing.T) {
 }
 
 func TestSharedAccessPredicates(t *testing.T) {
-	load := Instr{Op: OpLoad}
-	if !load.IsSharedLoad() || !load.IsSharedAccess() {
-		t.Error("plain load should be shared")
+	for _, op := range []Op{OpLoad, OpStore, OpCas} {
+		if in := (Instr{Op: op}); !in.IsSharedAccess() {
+			t.Errorf("%v should be a shared access", op)
+		}
 	}
-	load.ThreadLocal = true
-	if load.IsSharedLoad() || load.IsSharedAccess() {
-		t.Error("thread-local load should not be shared")
-	}
-	cas := Instr{Op: OpCas}
-	if !cas.IsSharedAccess() {
-		t.Error("cas is a shared access")
+	for _, op := range []Op{OpFence, OpMov, OpAlloc} {
+		if in := (Instr{Op: op}); in.IsSharedAccess() {
+			t.Errorf("%v should not be a shared access", op)
+		}
 	}
 }
 

@@ -388,7 +388,7 @@ func (p *Program) CountStores() int {
 	n := 0
 	for _, f := range p.Funcs {
 		for i := range f.Code {
-			if f.Code[i].IsSharedStore() || f.Code[i].Op == OpCas {
+			if op := f.Code[i].Op; op == OpStore || op == OpCas {
 				n++
 			}
 		}

@@ -116,143 +116,6 @@ func TestFenceCost(t *testing.T) {
 	}
 }
 
-// TestBarrierEpochs exercises the store-store barrier machinery: entries
-// behind a Barrier cannot flush until everything before it has drained.
-func TestBarrierEpochs(t *testing.T) {
-	b := New(PSO)
-	b.Put(10, 1, 100)
-	b.Put(20, 2, 101)
-	b.Barrier()
-	b.Put(30, 3, 102)
-
-	// 30 is pending but not flushable: it sits behind the barrier.
-	if got := b.PendingAddrs(); len(got) != 3 {
-		t.Fatalf("PendingAddrs = %v, want 3 addrs", got)
-	}
-	fl := b.FlushableAddrs()
-	if len(fl) != 2 || fl[0] != 10 || fl[1] != 20 {
-		t.Fatalf("FlushableAddrs = %v, want [10 20]", fl)
-	}
-	if _, ok := b.FlushOldest(30); ok {
-		t.Fatal("FlushOldest(30) succeeded across an epoch barrier")
-	}
-	if _, ok := b.FlushOldest(20); !ok {
-		t.Fatal("FlushOldest(20) refused in the lowest epoch")
-	}
-	// 10 still blocks 30.
-	if _, ok := b.FlushOldest(30); ok {
-		t.Fatal("FlushOldest(30) succeeded with epoch-0 entry pending")
-	}
-	if _, ok := b.FlushOldest(10); !ok {
-		t.Fatal("FlushOldest(10) refused")
-	}
-	// Barrier cleared: 30 is now flushable.
-	fl = b.FlushableAddrs()
-	if len(fl) != 1 || fl[0] != 30 {
-		t.Fatalf("FlushableAddrs after drain = %v, want [30]", fl)
-	}
-	if e, ok := b.FlushOldest(30); !ok || e.Val != 3 {
-		t.Fatalf("FlushOldest(30) = %+v,%v", e, ok)
-	}
-	if !b.Empty() {
-		t.Error("not empty after full drain")
-	}
-}
-
-// TestBarrierSameAddressStacking: two stores to the same address across a
-// barrier stay FIFO within their queue, and the head epoch gates correctly
-// when the same address spans epochs.
-func TestBarrierSameAddress(t *testing.T) {
-	b := New(PSO)
-	b.Put(10, 1, 100)
-	b.Barrier()
-	b.Put(10, 2, 101)
-	b.Put(20, 3, 102)
-	// Address 10's head is epoch 0, so 10 is flushable; 20's head is epoch
-	// 1, blocked by 10's epoch-0 head.
-	fl := b.FlushableAddrs()
-	if len(fl) != 1 || fl[0] != 10 {
-		t.Fatalf("FlushableAddrs = %v, want [10]", fl)
-	}
-	if e, _ := b.FlushOldest(10); e.Val != 1 {
-		t.Fatalf("flushed %+v, want val 1", e)
-	}
-	// Now both heads are epoch 1: both flushable.
-	fl = b.FlushableAddrs()
-	if len(fl) != 2 {
-		t.Fatalf("FlushableAddrs = %v, want both", fl)
-	}
-}
-
-func TestBarrierNoopCases(t *testing.T) {
-	// TSO: Barrier is a no-op (single FIFO already ordered) — everything
-	// stays flushable in FIFO order.
-	tso := New(TSO)
-	tso.Put(10, 1, 100)
-	tso.Barrier()
-	tso.Put(20, 2, 101)
-	if e, ok := tso.FlushOldest(0); !ok || e.Val != 1 {
-		t.Fatalf("TSO flush after Barrier = %+v,%v", e, ok)
-	}
-	if e, ok := tso.FlushOldest(0); !ok || e.Val != 2 {
-		t.Fatalf("TSO flush after Barrier = %+v,%v", e, ok)
-	}
-
-	// Empty buffers: Barrier must not create an epoch (a later lone store
-	// must be immediately flushable).
-	pso := New(PSO)
-	pso.Barrier()
-	pso.Put(10, 1, 100)
-	if _, ok := pso.FlushOldest(10); !ok {
-		t.Error("store after Barrier-on-empty not flushable")
-	}
-}
-
-// TestEpochRearm: once the buffers drain, the epoch counter re-arms so
-// state keys stay canonical (two histories reaching "empty" are identical).
-func TestEpochRearm(t *testing.T) {
-	b := New(PSO)
-	b.Put(10, 1, 100)
-	b.Barrier()
-	b.Put(20, 2, 101)
-	for _, a := range []int64{10, 20} {
-		if _, ok := b.FlushOldest(a); !ok {
-			t.Fatalf("FlushOldest(%d) refused", a)
-		}
-	}
-	b.Put(30, 3, 102)
-	if got := b.All(); len(got) != 1 || got[0].Epoch != 0 {
-		t.Errorf("epoch did not re-arm after drain: %+v", got)
-	}
-}
-
-// TestDrainRespectsBarriers: Drain's commit order never lets a later-epoch
-// entry precede an earlier-epoch entry.
-func TestDrainRespectsBarriers(t *testing.T) {
-	for _, m := range []Model{PSO, RMO} {
-		b := New(m)
-		b.Put(10, 1, 100)
-		b.Put(20, 2, 101)
-		b.Barrier()
-		b.Put(30, 3, 102)
-		b.Put(10, 4, 103)
-		got := b.Drain()
-		if len(got) != 4 {
-			t.Fatalf("%v: Drain = %d entries, want 4", m, len(got))
-		}
-		lastEpoch := int32(0)
-		for _, e := range got {
-			if e.Epoch < lastEpoch {
-				t.Errorf("%v: Drain order violated epochs: %+v", m, got)
-			}
-			lastEpoch = e.Epoch
-		}
-		if !b.Empty() {
-			t.Errorf("%v: not empty after Drain", m)
-		}
-	}
-}
-
 // TestRMOBuffersBehaveLikePSO: the store side of RMO is PSO's per-address
 // buffers; load deferral lives in the interpreter.
 func TestRMOBuffersBehaveLikePSO(t *testing.T) {

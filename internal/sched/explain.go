@@ -126,7 +126,7 @@ func explainStep(m *interp.Machine, model memmodel.Model, d Decision) StepFact {
 		fact.Exec = true
 		if in != nil {
 			fact.Instr = *in
-			if in.Op == ir.OpStore && !in.ThreadLocal && model != memmodel.SC {
+			if in.Op == ir.OpStore && model != memmodel.SC {
 				fact.Buffered = true
 			}
 			if in.Op == ir.OpLoad && in.Dst != ir.NoReg {

@@ -7,9 +7,9 @@
 // large ones make the execution look sequentially consistent.
 //
 // The scheduler also applies the paper's partial-order reduction: a thread
-// that keeps accessing only registers or provably thread-local memory is
-// not context-switched. The window is bounded by PORWindow so that local
-// infinite loops still yield: a pick runs one transition and at most
+// that keeps accessing only its registers is not context-switched. The
+// window is bounded by PORWindow so that local infinite loops still
+// yield: a pick runs one transition and at most
 // PORWindow more, each only while the one before it was local, so up to
 // PORWindow+1 local steps can follow one scheduling decision.
 package sched
@@ -546,12 +546,11 @@ const vowLifetime = 4096
 // thereafter refuses to flush it unless forced (no thread can execute, or
 // nothing else is pending on a forced call) — until the vow is spent
 // vowLifetime machine steps after it was sworn. It reads the
-// flushable-address view in place (no copy): the slice is consumed before
-// the FlushOne mutation invalidates it. Flushable (not merely pending)
-// addresses are offered, so store-store barrier epochs are respected.
+// pending-address view in place (no copy): the slice is consumed before
+// the FlushOne mutation invalidates it.
 func (w *worker) tryFlush(t *interp.Thread, tid int, starve, forced bool, tr *Trace) bool {
 	m := &w.m
-	pend := t.Buffers().FlushableAddrsView()
+	pend := t.Buffers().PendingAddrsView()
 	if len(pend) == 0 {
 		return false
 	}

@@ -124,9 +124,8 @@ func replay(m *interp.Machine, tr *Trace, step func(d Decision)) bool {
 		}
 	}
 	// Drain any remainder deterministically (round-robin) so the result is
-	// complete even if the trace was cut at the violation. Flushes pick a
-	// currently flushable address (store-store barriers can park the oldest
-	// pending address); resolves retire the queue head.
+	// complete even if the trace was cut at the violation. Flushes commit
+	// the oldest pending address; resolves retire the queue head.
 	for guard := 0; !m.Done() && guard < 1_000_000; guard++ {
 		moved := false
 		for tid := 0; tid < m.NumThreads(); tid++ {
@@ -141,8 +140,7 @@ func replay(m *interp.Machine, tr *Trace, step func(d Decision)) bool {
 				break
 			}
 			if m.CanFlush(tid) {
-				fl := m.Thread(tid).Buffers().FlushableAddrs()
-				m.FlushOne(tid, fl[0])
+				m.FlushOne(tid, m.Thread(tid).Buffers().PendingAddrsView()[0])
 				moved = true
 				break
 			}

@@ -6,8 +6,7 @@ package staticanalysis
 // fork, or a return), and when a register is *exactly* the address of one
 // scalar global. The delay-set analysis uses the answers to build
 // conflict edges and to discard same-location pairs the instrumented
-// semantics can never report, and the verifier's ThreadLocal lint uses
-// them to validate front-end claims.
+// semantics can never report.
 
 import (
 	"sort"

@@ -301,11 +301,9 @@ func killsPair(in *ir.Instr, model memmodel.Model, a, b ir.AccessClass) bool {
 
 // killsBeforeCas is the kill rule for a pending store-class access whose
 // K is a CAS. A CAS commits its write directly to memory, bypassing the
-// store buffers, so an epoch barrier (st-st or release fence) does not
-// order a pending store before it — only a fence that physically drains
-// the buffers (full, st-ld) does. The dynamic engine mirrors this: the
-// observe hook's epoch filter applies to buffered stores only, never to
-// CAS accesses.
+// store buffers, so only a fence that drains the buffers orders a pending
+// store before it: every store-ordering kind does (FenceKind.DrainsStores),
+// a load-ordering kind does not.
 func killsBeforeCas(in *ir.Instr, model memmodel.Model) bool {
 	switch in.Op {
 	case ir.OpFence:
@@ -351,9 +349,9 @@ func (a *analysis) findCandidates() {
 			in := g.instr(n)
 			var ca ir.AccessClass
 			switch {
-			case in.IsSharedStore():
+			case in.Op == ir.OpStore:
 				ca = ir.ClassStore
-			case in.IsSharedLoad():
+			case in.Op == ir.OpLoad:
 				ca = ir.ClassLoad
 			default:
 				continue

@@ -90,9 +90,9 @@ func (fr *FixResult) Report(p *ir.Program) string {
 // class-a access and a later instruction of opcode kop (OpLoad, OpStore,
 // or OpCas), restore their order per the analysis's kill rules: the
 // declared coverage Orders(a, class(kop)), except that a CAS K of a
-// pending store requires a physically draining kind — the CAS write
-// bypasses the store buffers, so an epoch barrier does not order it (see
-// killsBeforeCas). Returned in FenceKinds order; never empty, since
+// pending store requires a kind that drains the store buffers — the CAS
+// write bypasses them, so only a drain orders the pending store before it
+// (see killsBeforeCas). Returned in FenceKinds order; never empty, since
 // FenceFull both orders every pair and drains.
 func CoveringKinds(a ir.AccessClass, kop ir.Op) []ir.FenceKind {
 	b, _ := ir.ClassOf(kop)

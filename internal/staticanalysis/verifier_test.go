@@ -108,19 +108,6 @@ func TestVerifyRejectsDanglingBranch(t *testing.T) {
 	wantVerifyError(t, p, "branches to")
 }
 
-// Malformed fixture 4: a load of a shared global mis-marked ThreadLocal —
-// it would silently bypass the store buffers and the collector.
-func TestVerifyRejectsMisMarkedThreadLocal(t *testing.T) {
-	p := buildProg(t)
-	w := p.Funcs["w"]
-	for i := range w.Code {
-		if w.Code[i].Op == ir.OpLoad {
-			w.Code[i].ThreadLocal = true
-		}
-	}
-	wantVerifyError(t, p, "ThreadLocal")
-}
-
 // Malformed fixture 5: a stale OpGlobal immediate after the globals moved
 // without re-linking.
 func TestVerifyRejectsStaleLink(t *testing.T) {
@@ -133,33 +120,6 @@ func TestVerifyRejectsStaleLink(t *testing.T) {
 		}
 	}
 	wantVerifyError(t, p, "stale link")
-}
-
-// A ThreadLocal access whose address is derived purely from an allocation
-// is fine.
-func TestVerifyAcceptsAllocThreadLocal(t *testing.T) {
-	p := ir.NewProgram()
-	f := ir.NewFuncBuilder(p, "main", 0)
-	size := f.Const(1)
-	buf := f.Alloc(size)
-	one := f.Const(1)
-	st := f.Store(buf, one, "private slot")
-	f.Ret()
-	mf, err := f.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mf.Code {
-		if mf.Code[i].Label == st {
-			mf.Code[i].ThreadLocal = true
-		}
-	}
-	if err := p.Link(); err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(p); err != nil {
-		t.Fatalf("Verify rejected a correctly marked ThreadLocal access: %v", err)
-	}
 }
 
 // Uses in unreachable code produce no findings (the dataflow starts TOP

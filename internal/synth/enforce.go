@@ -38,8 +38,9 @@ func (f InsertedFence) String() string {
 // needSet accumulates the ordering requirements of one fence site (the l
 // of a predicate group): which class pairs the fence must restore, and
 // whether some K is a CAS whose write only a draining fence can order
-// (the CAS write bypasses the store buffers, so an epoch barrier does
-// not gate it — the same rule staticanalysis.CoveringKinds applies).
+// (the CAS write bypasses the store buffers, so no load-ordering kind
+// orders a pending store before it — the same rule
+// staticanalysis.CoveringKinds applies).
 type needSet struct {
 	pairs    [2][2]bool // [class of l][class of k], indexed by ir.AccessClass
 	casDrain bool
@@ -133,7 +134,7 @@ func Enforce(prog *ir.Program, model memmodel.Model, preds []Predicate) ([]Inser
 		switch {
 		case kin != nil && kin.Op == ir.OpCas && la == ir.ClassStore:
 			n.casDrain = true
-		case kin != nil && kin.IsSharedLoad():
+		case kin != nil && kin.Op == ir.OpLoad:
 			n.pairs[la][ir.ClassLoad] = true
 		default:
 			n.pairs[la][ir.ClassStore] = true
@@ -330,14 +331,8 @@ func transfer(in *ir.Instr, protected pairMask) pairMask {
 		// Conservatively unprotect everything.
 		return 0
 	case ir.OpStore:
-		if in.ThreadLocal {
-			return protected
-		}
 		return protected &^ maskRowSt
 	case ir.OpLoad:
-		if in.ThreadLocal {
-			return protected
-		}
 		return protected &^ maskRowLd
 	case ir.OpCall, ir.OpFork:
 		// The callee may access shared memory; conservative.
