@@ -152,3 +152,42 @@ func TestFindRedundantCacheDeterminism(t *testing.T) {
 		t.Fatalf("checked %d redundancy cells, want 2", n)
 	}
 }
+
+// TestCacheLookupTotalWorkerIndependent: which worker's verdict memo
+// answers an execution varies with the worker count and the timing, so
+// the hit/miss split may too — but the number of lookups must be the
+// serial run's, also for early-stopped validation trials, whose slots past
+// the first violation run only when another worker had started them.
+// Fences and round stats stay those of the golden digest.
+func TestCacheLookupTotalWorkerIndependent(t *testing.T) {
+	b, err := progs.ByName("michael-alloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Under the SC criterion at 300 executions per round, validation drops
+	// fail and stop their trial batches early.
+	cfg := goldenConfig(b, memmodel.PSO)
+	cfg.ExecsPerRound, cfg.MaxRounds = 300, 10
+	wantTotal, wantKey := -1, ""
+	for _, workers := range []int{1, 2, 4} {
+		for rep := 0; rep < 5; rep++ {
+			cfg.Workers = workers
+			res, err := Synthesize(b.Program(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total, key := res.CacheHits+res.CacheMisses, resultKey(res)
+			if wantTotal < 0 {
+				wantTotal, wantKey = total, key
+				continue
+			}
+			if total != wantTotal {
+				t.Errorf("workers=%d run %d: %d cache lookups (%d hits, %d misses), want %d",
+					workers, rep, total, res.CacheHits, res.CacheMisses, wantTotal)
+			}
+			if key != wantKey {
+				t.Errorf("workers=%d run %d: result\n%s\nwant\n%s", workers, rep, key, wantKey)
+			}
+		}
+	}
+}

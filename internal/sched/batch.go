@@ -90,12 +90,15 @@ func RunBatch[T any](ctx context.Context, prog *ir.Program, model memmodel.Model
 // can maintain per-worker reducer state (e.g. the core verdict cache)
 // without locks; calls are concurrent across workers but slot i is written
 // by exactly one worker, so reduce must only touch the observer it was
-// handed, its own worker-indexed state, and the values it returns. Its T result is stored at out[i]. Returning stop=true
-// cancels the batch: outstanding executions are abandoned (their slots
-// keep T's zero value, and reduce is never called for them) and remaining
-// workers drain via the context. The surrounding ctx cancels the batch
-// externally the same way; an execution already in flight when the context
-// dies stops at its next budget check and reports TimedOut.
+// handed, its own worker-indexed state, and the values it returns. Its T
+// result is stored at out[i]. Returning stop=true ends the batch: no
+// worker starts another execution (unstarted slots keep T's zero value,
+// and reduce is never called for them), but executions already in flight
+// run to completion and are reduced. Slots are started in index order, so
+// every slot below a stopping slot is reduced from a complete execution,
+// as in the serial run. The surrounding ctx cancels the batch externally;
+// an execution in flight when it dies stops at its next budget check and
+// reports TimedOut.
 func RunBatchCompiled[T any](ctx context.Context, c *interp.Compiled, model memmodel.Model, n, workers int,
 	newObs func(worker int) interp.Observer,
 	optsFor func(i int) Options,
@@ -143,9 +146,8 @@ func RunBatchCompiled[T any](ctx context.Context, c *interp.Compiled, model memm
 		return out
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var next atomic.Int64
+	var stopped atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -156,7 +158,7 @@ func RunBatchCompiled[T any](ctx context.Context, c *interp.Compiled, model memm
 			pprof.Do(ctx, pprof.Labels("dfence_phase", "execute", "dfence_worker", strconv.Itoa(w)), func(ctx context.Context) {
 				var st worker
 				obs := obsFor(w)
-				for ctx.Err() == nil {
+				for ctx.Err() == nil && !stopped.Load() {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return
@@ -164,7 +166,7 @@ func RunBatchCompiled[T any](ctx context.Context, c *interp.Compiled, model memm
 					t, stop := exec(&st, w, i, obs)
 					out[i] = t
 					if stop {
-						cancel()
+						stopped.Store(true)
 						return
 					}
 				}

@@ -68,9 +68,10 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunBatchEarlyStop: a stop verdict cancels the batch. With one
-// worker the cut is exact; with many workers the stopping slot must still
-// be filled and the batch must terminate.
+// TestRunBatchEarlyStop: a stop verdict ends the batch. With one worker
+// the cut is exact; with many workers every slot up to the stopping one
+// must be reduced from a complete (not cut-off) execution, and the batch
+// must terminate.
 func TestRunBatchEarlyStop(t *testing.T) {
 	p := buildSB(t)
 	const stopAt = 5
@@ -83,12 +84,16 @@ func TestRunBatchEarlyStop(t *testing.T) {
 			t.Fatalf("serial early stop: slot %d ran=%v, want %v", i, ran, want)
 		}
 	}
-	parallel := RunBatch(context.Background(), p, memmodel.PSO, 32, 4, nil, batchOptsFor,
-		func(i, _ int, _ interp.Observer, res *interp.Result, err *ExecError) (bool, bool) {
-			return true, i == stopAt
-		})
-	if !parallel[stopAt] {
-		t.Fatal("parallel early stop: stopping slot was not recorded")
+	for rep := 0; rep < 20; rep++ {
+		parallel := RunBatch(context.Background(), p, memmodel.PSO, 32, 4, nil, batchOptsFor,
+			func(i, _ int, _ interp.Observer, res *interp.Result, err *ExecError) (bool, bool) {
+				return res != nil && !res.TimedOut, i == stopAt
+			})
+		for i := 0; i <= stopAt; i++ {
+			if !parallel[i] {
+				t.Fatalf("parallel early stop: slot %d was not reduced from a complete execution", i)
+			}
+		}
 	}
 }
 
