@@ -12,6 +12,7 @@ import (
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/sched"
+	"dfence/internal/telemetry"
 )
 
 // The engine-determinism corpus tests: machine pooling (compiled
@@ -157,8 +158,10 @@ func TestFindRedundantCacheDeterminism(t *testing.T) {
 // answers an execution varies with the worker count and the timing, so
 // the hit/miss split may too — but the number of lookups must be the
 // serial run's, also for early-stopped validation trials, whose slots past
-// the first violation run only when another worker had started them.
-// Fences and round stats stay those of the golden digest.
+// the first violation run only when another worker had started them. The
+// same holds for every other counter the run's metrics carry (executions,
+// violations, panics, ...): only the hit/miss split may differ. Fences
+// and round stats stay those of the golden digest.
 func TestCacheLookupTotalWorkerIndependent(t *testing.T) {
 	b, err := progs.ByName("michael-alloc")
 	if err != nil {
@@ -168,17 +171,19 @@ func TestCacheLookupTotalWorkerIndependent(t *testing.T) {
 	// fail and stop their trial batches early.
 	cfg := goldenConfig(b, memmodel.PSO)
 	cfg.ExecsPerRound, cfg.MaxRounds = 300, 10
-	wantTotal, wantKey := -1, ""
+	wantTotal, wantKey, wantMetrics := -1, "", ""
 	for _, workers := range []int{1, 2, 4} {
 		for rep := 0; rep < 5; rep++ {
 			cfg.Workers = workers
+			cfg.Metrics = telemetry.NewMetrics(telemetry.NewRegistry(workers))
 			res, err := Synthesize(b.Program(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			total, key := res.CacheHits+res.CacheMisses, resultKey(res)
+			metrics := workerIndependentMetrics(cfg.Metrics.Registry.Snapshot())
 			if wantTotal < 0 {
-				wantTotal, wantKey = total, key
+				wantTotal, wantKey, wantMetrics = total, key, metrics
 				continue
 			}
 			if total != wantTotal {
@@ -188,6 +193,36 @@ func TestCacheLookupTotalWorkerIndependent(t *testing.T) {
 			if key != wantKey {
 				t.Errorf("workers=%d run %d: result\n%s\nwant\n%s", workers, rep, key, wantKey)
 			}
+			if metrics != wantMetrics {
+				t.Errorf("workers=%d run %d: metrics\n%s\nwant\n%s", workers, rep, metrics, wantMetrics)
+			}
 		}
 	}
+}
+
+// workerIndependentMetrics renders the counters and gauges of a run's
+// metrics with the cache hits and misses folded into their total, and
+// the per-execution step histogram; the wall-time histograms are left
+// out.
+func workerIndependentMetrics(s telemetry.Snapshot) string {
+	var b strings.Builder
+	lookups := int64(0)
+	for _, c := range s.Counters {
+		switch c.Name {
+		case "dfence_exec_cache_hits", "dfence_exec_cache_misses":
+			lookups += c.Value
+		default:
+			fmt.Fprintf(&b, "%s=%d\n", c.Name, c.Value)
+		}
+	}
+	fmt.Fprintf(&b, "cache lookups=%d\n", lookups)
+	for _, g := range s.Gauges {
+		fmt.Fprintf(&b, "%s=%d\n", g.Name, g.Value)
+	}
+	for _, h := range s.Histograms {
+		if h.Name == "dfence_exec_steps" {
+			fmt.Fprintf(&b, "%s count=%d sum=%d buckets=%v\n", h.Name, h.Count, h.Sum, h.Buckets)
+		}
+	}
+	return b.String()
 }

@@ -189,11 +189,12 @@ func appendHistoryKey(dst []byte, evs []interp.Event) []byte {
 // --- fence-touch outcome transfer ---
 
 // trialOut records one watched trial execution: whether it ran (an
-// early-stopped batch leaves unstarted slots), whether it violated, the
-// watch-order bitmask of fences it reached, and the memo lookup judging
-// it made on which worker.
+// early-stopped batch leaves unstarted slots), whether it panicked or
+// violated, the watch-order bitmask of fences it reached, and the memo
+// lookup judging it made on which worker.
 type trialOut struct {
 	ran      bool
+	panicked bool
 	violated bool
 	mask     uint64
 	lookup   lookup
@@ -204,34 +205,37 @@ type trialOut struct {
 // compile c and reports, per seed, the violation verdict and the touched
 // bitmask. With stopEarly the first violation stops the rest — callers
 // use the full per-seed data only when no violation was found, in which
-// case every slot completed. Memo lookups are counted for the slots the
-// serial run judges, up to the first violation: slots past it run only
-// when other workers had already started them, so counting them would
-// make the cache totals depend on the worker count.
+// case every slot completed. Executions, panics, violations and memo
+// lookups are counted for the slots the serial run judges, up to the
+// first violation: slots past it run only when other workers had already
+// started them, so counting them would make the totals depend on the
+// worker count.
 func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, seeds []int, optsFor func(i int) sched.Options, stopEarly bool) []trialOut {
 	out := sched.RunBatchCompiled(context.Background(), c, cfg.Model, len(seeds), cfg.Workers, nil,
 		func(k int) sched.Options { return optsFor(seeds[k]) },
 		func(k, worker int, _ interp.Observer, res *interp.Result, err *sched.ExecError) (trialOut, bool) {
-			cfg.mv.Executions.Inc(worker)
 			if err != nil {
 				// The touched mask of a panicked execution is unknowable, so
 				// report every fence touched: the seed is re-run in every
 				// trial.
-				cfg.mv.Panics.Inc(worker)
-				return trialOut{ran: true, mask: ^uint64(0)}, false
+				return trialOut{ran: true, panicked: true, mask: ^uint64(0), worker: worker}, false
 			}
 			v, l := judgeMemo(cfg, &jcs[worker], res)
 			violated := v == verdictViolation
-			if violated {
-				cfg.mv.Violations.Inc(worker)
-			}
 			o := trialOut{ran: true, violated: violated, mask: res.FenceTouched, lookup: l, worker: worker}
 			return o, violated && stopEarly
 		})
 	for _, o := range out {
+		cfg.mv.Executions.Inc(o.worker)
+		if o.panicked {
+			cfg.mv.Panics.Inc(o.worker)
+		}
 		countLookup(cfg, jcs, o.worker, o.lookup)
-		if stopEarly && o.violated {
-			break
+		if o.violated {
+			cfg.mv.Violations.Inc(o.worker)
+			if stopEarly {
+				break
+			}
 		}
 	}
 	return out

@@ -11,10 +11,15 @@ package proggen
 // (Machine.CopyFrom), and each transition after the first restores a
 // copy of it and applies just that one choice — no prefix is ever
 // re-executed. Each decision point is fingerprinted with
-// Machine.AppendStateKey so any path reaching an already-expanded state
-// is pruned. With memoization the cost is O(|states| × branching) machine
-// copies and transitions, which is what keeps litmus-sized programs (a few
-// thousand states) enumerable in milliseconds.
+// Machine.AppendStateKey and looked up in an exact hash table of the
+// expanded states (stateTable), so any path reaching an already-expanded
+// state is pruned. With memoization the cost is O(|states| × branching)
+// machine copies and transitions, which is what keeps litmus-sized
+// programs (a few thousand states) enumerable in milliseconds. A state
+// visit costs a key encode and a table probe: the working machine, the
+// snapshots, the stacks and the table are pooled across Enumerate calls
+// (enumPool), so a warmed-up walk allocates for the compiled program, the
+// result and the violations and new outcomes it records, not per state.
 //
 // Three reductions keep the walk small without losing outcomes:
 //
@@ -66,6 +71,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"dfence/internal/interp"
 	"dfence/internal/ir"
@@ -194,16 +200,19 @@ func (r *EnumResult) SortedViolations() []string {
 // order plus the exit code.
 func OutcomeString(output []int64, exitCode int64) string {
 	var buf [64]byte
-	b := buf[:0]
+	return string(appendOutcome(buf[:0], output, exitCode))
+}
+
+// appendOutcome appends OutcomeString(output, exitCode) to dst.
+func appendOutcome(dst []byte, output []int64, exitCode int64) []byte {
 	for i, v := range output {
 		if i > 0 {
-			b = append(b, ',')
+			dst = append(dst, ',')
 		}
-		b = strconv.AppendInt(b, v, 10)
+		dst = strconv.AppendInt(dst, v, 10)
 	}
-	b = append(b, "|exit="...)
-	b = strconv.AppendInt(b, exitCode, 10)
-	return string(b)
+	dst = append(dst, "|exit="...)
+	return strconv.AppendInt(dst, exitCode, 10)
 }
 
 // violationString canonicalizes a violation for set membership.
@@ -211,30 +220,58 @@ func violationString(v *interp.Violation) string {
 	return fmt.Sprintf("%v@L%d: %s", v.Kind, v.Label, v.Msg)
 }
 
-// enumerator holds the snapshot machinery for one Enumerate call: cur is
+// enumerator holds the snapshot machinery of an enumeration: cur is
 // the machine the walk mutates, and snaps[d] holds the state of the d-th
 // branching node on the current DFS path — one pooled Machine per
-// branching depth, reused across the whole walk. seen maps every expanded
-// state's key to its visit index.
+// branching depth, reused across the whole walk. chs is the stack of
+// transitions of the states on the path, and path the stack of branching
+// states with a sibling left. seen holds every expanded state's key and
+// visit index. key and outcome are scratch buffers for the state key and
+// the outcome string of the state being visited.
 //
 // The sleep-set bookkeeping is live while prune is true. sleep is a stack
 // of sleep sets: the current state's set is sleep[zcur:], and each
 // branching state on the path keeps its own below it. pathIdx lists the
 // visit indices of the states on the DFS path, and onPath marks them.
+//
+// An enumerator outlives its call: enumPool hands its storage — the
+// machines with their buffer queues, the stacks and the table — to the
+// next Enumerate, and start resets every field a walk reads. Only the
+// machines' state refers to the last walk's compiled program: the next
+// walk overwrites it, and the pool frees an idle enumerator at a
+// garbage collection.
 type enumerator struct {
-	c     *interp.Compiled
-	model memmodel.Model
-	opts  EnumOptions
-	cur   *interp.Machine
-	snaps []*interp.Machine
-	key   []byte
-	seen  map[string]int32
+	opts    EnumOptions
+	cur     *interp.Machine
+	snaps   []*interp.Machine
+	chs     []choice
+	path    []branch
+	key     []byte
+	outcome []byte
+	seen    stateTable
 
 	prune   bool
 	sleep   []choice
 	zcur    int
 	pathIdx []int32
 	onPath  []bool
+}
+
+// enumPool recycles enumerators across Enumerate calls.
+var enumPool = sync.Pool{New: func() any { return newEnumerator() }}
+
+// newEnumerator returns an enumerator with no storage yet.
+func newEnumerator() *enumerator { return &enumerator{cur: &interp.Machine{}} }
+
+// start readies a pooled enumerator for a walk of c under model.
+func (e *enumerator) start(c *interp.Compiled, model memmodel.Model, opts EnumOptions) {
+	e.opts = opts
+	e.chs, e.path = e.chs[:0], e.path[:0]
+	e.seen.reset()
+	e.prune = true
+	e.sleep, e.zcur = e.sleep[:0], 0
+	e.pathIdx, e.onPath = e.pathIdx[:0], e.onPath[:0]
+	e.cur.Reset(c, model, nil)
 }
 
 // branch is a state on the current DFS path with untried transitions:
@@ -255,15 +292,15 @@ var pruneHook func(e *enumerator, ch *choice)
 // Enumerate explores every schedule of prog under model within the
 // budgets. prog must be linked.
 func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumResult {
+	e := enumPool.Get().(*enumerator)
+	defer enumPool.Put(e)
+	return e.enumerate(prog, model, opts)
+}
+
+// enumerate is Enumerate on e's storage.
+func (e *enumerator) enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumResult {
 	opts.fill()
-	e := &enumerator{
-		c:     interp.Compile(prog),
-		model: model,
-		opts:  opts,
-		cur:   &interp.Machine{},
-		seen:  make(map[string]int32),
-		prune: true,
-	}
+	e.start(interp.Compile(prog), model, opts)
 	res := &EnumResult{
 		Model:      model,
 		Outcomes:   make(map[string]bool),
@@ -276,16 +313,13 @@ func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumRe
 	// order — the expansion order of an explicit stack of choice paths
 	// with pop-time dedup, which under the MaxStates budget decides which
 	// states get counted.
-	var chs []choice  // transitions of the states on the path
-	var path []branch // branching states on the path, each with a sibling left
-	e.cur.Reset(e.c, e.model, nil)
 	for {
-		start := len(chs)
+		start := len(e.chs)
 		var stop bool
-		if chs, stop = e.expand(res, chs); stop {
+		if e.chs, stop = e.expand(res, e.chs); stop {
 			break
 		}
-		switch len(chs) - start {
+		switch len(e.chs) - start {
 		case 0:
 			// Terminal, already expanded, over the step budget, or every
 			// transition asleep.
@@ -293,28 +327,28 @@ func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumRe
 			// A single transition needs no snapshot: take it in place. The
 			// child keeps the entries of this state's sleep set that
 			// commute with it.
-			ch := chs[start]
-			chs = chs[:start]
+			ch := e.chs[start]
+			e.chs = e.chs[:start]
 			e.apply(e.cur, &ch)
 			if e.prune {
 				e.sleep = appendIndependent(e.sleep[:e.zcur], e.sleep[e.zcur:], &ch)
 			}
 			continue
 		default:
-			e.snapshot(len(path)).CopyFrom(e.cur)
-			path = append(path, branch{start: start, next: start + 1, end: len(chs),
+			e.snapshot(len(e.path)).CopyFrom(e.cur)
+			e.path = append(e.path, branch{start: start, next: start + 1, end: len(e.chs),
 				z0: e.zcur, z1: len(e.sleep), depth: len(e.pathIdx)})
-			e.descend(chs, &path[len(path)-1], start)
+			e.descend(&e.path[len(e.path)-1], start)
 			continue
 		}
 		// Backtrack to the deepest branching state and take its next
 		// transition from a copy of its snapshot. The last one takes the
 		// snapshot itself (it is not needed again) and retires the node.
-		if len(path) == 0 {
+		if len(e.path) == 0 {
 			break
 		}
-		d := len(path) - 1
-		b := &path[d]
+		d := len(e.path) - 1
+		b := &e.path[d]
 		e.leave(b.depth)
 		i := b.next
 		b.next++
@@ -323,10 +357,10 @@ func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumRe
 		} else {
 			e.cur.CopyFrom(e.snaps[d])
 		}
-		e.descend(chs, b, i)
+		e.descend(b, i)
 		if b.next == b.end {
-			chs = chs[:b.start]
-			path = path[:d]
+			e.chs = e.chs[:b.start]
+			e.path = e.path[:d]
 		}
 	}
 	return res
@@ -340,11 +374,12 @@ func (e *enumerator) snapshot(d int) *interp.Machine {
 	return e.snaps[d]
 }
 
-// descend takes chs[i], a transition of branch b, on the working machine
-// (restored to b's state) and gives the child its sleep set: the entries
-// of b's set and the siblings explored before chs[i] that commute with it.
-func (e *enumerator) descend(chs []choice, b *branch, i int) {
-	ch := &chs[i]
+// descend takes e.chs[i], a transition of branch b, on the working
+// machine (restored to b's state) and gives the child its sleep set: the
+// entries of b's set and the siblings explored before e.chs[i] that
+// commute with it.
+func (e *enumerator) descend(b *branch, i int) {
+	ch := &e.chs[i]
 	e.apply(e.cur, ch)
 	if !e.prune {
 		return
@@ -352,7 +387,7 @@ func (e *enumerator) descend(chs []choice, b *branch, i int) {
 	e.sleep = e.sleep[:b.z1]
 	e.zcur = b.z1
 	e.sleep = appendIndependent(e.sleep, e.sleep[b.z0:b.z1], ch)
-	e.sleep = appendIndependent(e.sleep, chs[b.start:i], ch)
+	e.sleep = appendIndependent(e.sleep, e.chs[b.start:i], ch)
 }
 
 // appendIndependent appends the transitions of from that commute with ch.
@@ -389,7 +424,8 @@ func (e *enumerator) expand(res *EnumResult, dst []choice) (_ []choice, stop boo
 		return dst, false
 	}
 	e.key = m.AppendStateKey(e.key[:0])
-	if idx, dup := e.seen[string(e.key)]; dup {
+	h := e.seen.hash(e.key)
+	if idx, dup := e.seen.find(h, e.key); dup {
 		if e.prune && e.onPath[idx] {
 			// The walk closed a cycle: this state's subtree is still
 			// being explored, so a sleeping transition may no longer lead
@@ -402,9 +438,9 @@ func (e *enumerator) expand(res *EnumResult, dst []choice) (_ []choice, stop boo
 		res.Complete = false
 		return dst, true
 	}
-	e.seen[string(e.key)] = int32(res.States)
+	idx := e.seen.add(h, e.key)
 	if e.prune {
-		e.pathIdx = append(e.pathIdx, int32(res.States))
+		e.pathIdx = append(e.pathIdx, idx)
 		e.onPath = append(e.onPath, true)
 	}
 	res.States++
@@ -414,7 +450,11 @@ func (e *enumerator) expand(res *EnumResult, dst []choice) (_ []choice, stop boo
 		if v := m.Violation(); v != nil {
 			res.Violations[violationString(v)] = true
 		} else {
-			res.Outcomes[OutcomeString(m.Output(), m.ExitCode())] = true
+			// Only a new outcome allocates its string.
+			e.outcome = appendOutcome(e.outcome[:0], m.Output(), m.ExitCode())
+			if !res.Outcomes[string(e.outcome)] {
+				res.Outcomes[string(e.outcome)] = true
+			}
 		}
 		return dst, false
 	}

@@ -2,10 +2,13 @@ package proggen
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
+	"dfence/internal/ir"
 	"dfence/internal/litmus"
 	"dfence/internal/memmodel"
+	"dfence/internal/staticanalysis"
 )
 
 func TestEnumerateSB(t *testing.T) {
@@ -109,5 +112,110 @@ func TestEnumerateSpinLoop(t *testing.T) {
 	}
 	if !r.Outcomes["0|exit=0"] || !r.Outcomes["42|exit=0"] {
 		t.Errorf("MP under PSO should reach both 0 and 42, got %v", r.SortedOutcomes())
+	}
+}
+
+// reuseCell is one enumeration of the storage-reuse tests.
+type reuseCell struct {
+	name  string
+	prog  *ir.Program
+	model memmodel.Model
+	opts  EnumOptions
+}
+
+// reuseCells is a sequence of enumerations that leaves every kind of
+// stale storage behind for the next: a cell whose state budget trips,
+// then a smaller program, a program with a different thread count, the
+// same program under a different model, a cell whose step budget trips,
+// and finally the first cell again.
+func reuseCells(t *testing.T) []reuseCell {
+	t.Helper()
+	compile := func(p *Prog) *ir.Program {
+		prog, err := p.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		return prog
+	}
+	litmusProg := func(name string) *ir.Program {
+		test, err := litmus.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return test.Program()
+	}
+	rand2 := compile(Corpus(1, 3)[2])
+	shapes := staticanalysis.CriticalCycleShapes(memmodel.RMO, 3)
+	three := compile(TemplateProg(shapes[len(shapes)-1], VariantBare))
+	budget := EnumOptions{MaxStates: 2000}
+	return []reuseCell{
+		{"rand-2 PSO, state budget", rand2, memmodel.PSO, budget},
+		{"SB TSO", litmusProg("SB"), memmodel.TSO, EnumOptions{}},
+		{"3-thread template RMO", three, memmodel.RMO, EnumOptions{}},
+		{"3-thread template SC", three, memmodel.SC, EnumOptions{}},
+		{"MP PSO, step budget", litmusProg("MP"), memmodel.PSO, EnumOptions{MaxSteps: 40}},
+		{"rand-2 PSO again", rand2, memmodel.PSO, budget},
+	}
+}
+
+// TestEnumeratorReuseMatchesFresh: an enumerator whose storage earlier
+// enumerations left behind returns exactly what a fresh enumerator
+// returns, cell after cell.
+func TestEnumeratorReuseMatchesFresh(t *testing.T) {
+	reused := newEnumerator()
+	tripped := false
+	for _, c := range reuseCells(t) {
+		got := reused.enumerate(c.prog, c.model, c.opts)
+		want := newEnumerator().enumerate(c.prog, c.model, c.opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused enumerator %s, fresh %s", c.name, enumDigest(got), enumDigest(want))
+		}
+		tripped = tripped || !want.Complete
+	}
+	if !tripped {
+		t.Error("no cell tripped a budget")
+	}
+}
+
+// TestEnumerateConcurrent runs Enumerate from two goroutines at once, as
+// the fuzz campaigns of a parallel benchmark do: with the enumerators
+// shared through a pool, each result must still equal a fresh
+// enumerator's. Run it under -race.
+func TestEnumerateConcurrent(t *testing.T) {
+	var cells []reuseCell
+	for _, p := range Corpus(1, 6) {
+		prog, err := p.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for _, m := range memmodel.Models() {
+			cells = append(cells, reuseCell{p.Name + " " + m.String(), prog, m, EnumOptions{MaxStates: 2000}})
+		}
+	}
+	cells = append(cells, reuseCells(t)...)
+	want := make([]*EnumResult, len(cells))
+	for i, c := range cells {
+		want[i] = newEnumerator().enumerate(c.prog, c.model, c.opts)
+	}
+	got := make([][]*EnumResult, 2)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range cells {
+				c := cells[(i+g*len(cells)/2)%len(cells)]
+				got[g] = append(got[g], Enumerate(c.prog, c.model, c.opts))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, r := range got[g] {
+			k := (i + g*len(cells)/2) % len(cells)
+			if !reflect.DeepEqual(r, want[k]) {
+				t.Errorf("goroutine %d, %s: %s, fresh %s", g, cells[k].name, enumDigest(r), enumDigest(want[k]))
+			}
+		}
 	}
 }

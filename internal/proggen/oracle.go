@@ -173,19 +173,18 @@ type FuzzReport struct {
 // interleaved with seeded random programs at one template per four
 // entries. The RMO-only shapes are exactly the deferred-load litmus
 // family (MP without dependencies, LB, and their 3-thread extensions).
+// Template t of the pool is shape t/3 in variant t%3; only the templates
+// the corpus returns are instantiated.
 func Corpus(seed int64, n int) []*Prog {
-	var templates []*Prog
+	var shapes []staticanalysis.CycleShape
 	for _, threads := range []int{2, 3} {
-		for _, shape := range staticanalysis.CriticalCycleShapes(memmodel.RMO, threads) {
-			for _, v := range TemplateVariants() {
-				templates = append(templates, TemplateProg(shape, v))
-			}
-		}
+		shapes = append(shapes, staticanalysis.CriticalCycleShapes(memmodel.RMO, threads)...)
 	}
+	variants := TemplateVariants()
 	out := make([]*Prog, 0, n)
 	for i := 0; i < n; i++ {
-		if i%4 == 0 && i/4 < len(templates) {
-			out = append(out, templates[i/4])
+		if t := i / 4; i%4 == 0 && t < len(shapes)*len(variants) {
+			out = append(out, TemplateProg(shapes[t/len(variants)], variants[t%len(variants)]))
 		} else {
 			out = append(out, RandomProg(seed, i))
 		}
@@ -212,15 +211,16 @@ func Fuzz(cfg FuzzConfig) *FuzzReport {
 	f := &fuzzer{cfg: cfg, rep: &FuzzReport{Seed: cfg.Seed}}
 	corpus := Corpus(cfg.Seed, cfg.N)
 	for idx, p := range corpus {
+		var prog *ir.Program
 		var enums []*EnumResult
 		if p.Template {
 			f.rep.Templates++
 		} else {
 			f.rep.Randoms++
-			p, enums = f.inject(p, idx)
+			p, prog, enums = f.inject(p, idx)
 		}
 		f.rep.Programs++
-		divs := f.check(p, idx, f.cfg.Models, enums)
+		divs := f.check(p, prog, idx, f.cfg.Models, enums)
 		for _, d := range divs {
 			if !f.cfg.NoShrink {
 				f.shrink(d)
@@ -239,17 +239,18 @@ func Fuzz(cfg FuzzConfig) *FuzzReport {
 // model reaches an outcome that SC provably cannot, assert the negation
 // of the lexicographically smallest such outcome. The program is then
 // SC-clean by construction with a violation reachable under that model.
-// When it leaves the program unchanged it also returns the enumerations
-// it computed, so check does not enumerate the same program again.
-func (f *fuzzer) inject(p *Prog, idx int) (*Prog, []*EnumResult) {
+// When it leaves the program unchanged it also returns the compiled
+// program and the enumerations it computed, so check neither compiles
+// nor enumerates the same program again.
+func (f *fuzzer) inject(p *Prog, idx int) (*Prog, *ir.Program, []*EnumResult) {
 	prog, err := p.Compile()
 	if err != nil {
-		return p, nil // check() will report compile-error
+		return p, nil, nil // check() will report compile-error
 	}
 	esc := Enumerate(prog, memmodel.SC, f.cfg.Enum)
 	enums := []*EnumResult{esc}
 	if !esc.Complete {
-		return p, enums
+		return p, prog, enums
 	}
 	for _, model := range f.cfg.Models {
 		em := Enumerate(prog, model, f.cfg.Enum)
@@ -275,9 +276,9 @@ func (f *fuzzer) inject(p *Prog, idx int) (*Prog, []*EnumResult) {
 		q.Forbidden = conds
 		q.Name = p.Name + "+assert"
 		f.rep.Injected++
-		return q, nil
+		return q, nil, nil
 	}
-	return p, enums
+	return p, prog, enums
 }
 
 // outcomeConds converts a canonical outcome string back into the
@@ -391,10 +392,11 @@ func (f *fuzzer) synthConfig(model memmodel.Model, seed int64, execs, rounds int
 }
 
 // check runs the full differential comparison of one prepared program
-// under the given models and returns every divergence found. enums holds
-// enumerations of p already computed (by inject); any model missing from
-// it is enumerated here.
-func (f *fuzzer) check(p *Prog, idx int, models []memmodel.Model, enums []*EnumResult) []*Divergence {
+// under the given models and returns every divergence found. prog, when
+// non-nil, is p already compiled, and enums holds enumerations of p
+// already computed (both by inject); p is compiled here otherwise, and
+// any model missing from enums is enumerated here.
+func (f *fuzzer) check(p *Prog, prog *ir.Program, idx int, models []memmodel.Model, enums []*EnumResult) []*Divergence {
 	var divs []*Divergence
 	report := func(kind string, model memmodel.Model, format string, args ...any) {
 		divs = append(divs, &Divergence{
@@ -410,10 +412,12 @@ func (f *fuzzer) check(p *Prog, idx int, models []memmodel.Model, enums []*EnumR
 		f.rep.Notes = append(f.rep.Notes, fmt.Sprintf("#%d %s: ", idx, p.Name)+fmt.Sprintf(format, args...))
 	}
 
-	prog, err := p.Compile()
-	if err != nil {
-		report("compile-error", memmodel.SC, "%v", err)
-		return divs
+	if prog == nil {
+		var err error
+		if prog, err = p.Compile(); err != nil {
+			report("compile-error", memmodel.SC, "%v", err)
+			return divs
+		}
 	}
 	enumProg := prog
 	if f.cfg.SkewEnum {

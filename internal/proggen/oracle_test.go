@@ -2,6 +2,7 @@ package proggen
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,16 +108,17 @@ func TestOracleGates(t *testing.T) {
 // TestInjectAddsAssert pins the assert-injection contract: a random
 // program whose weak-model behaviors strictly exceed SC gains a Forbidden
 // clause matching one of the extra outcomes, making it a synthesis target
-// with known ground truth. A program left unchanged comes back with the
-// enumerations inject computed, which check then reuses: each must equal
-// a fresh enumeration of the program.
+// with known ground truth. A program left unchanged comes back compiled
+// and with the enumerations inject computed, which check then reuses: the
+// compiled program must equal a fresh compile, and each enumeration a
+// fresh enumeration of the program.
 func TestInjectAddsAssert(t *testing.T) {
 	f := &fuzzer{cfg: smokeConfig(5, 0), rep: &FuzzReport{}}
 	f.cfg.Fill()
 	injected, handed := 0, 0
 	for idx := 0; idx < 40; idx++ {
 		p := RandomProg(5, idx)
-		q, enums := f.inject(p, idx)
+		q, handedProg, enums := f.inject(p, idx)
 		if len(q.Forbidden) == 0 {
 			if q != p {
 				t.Errorf("rand-%d: inject replaced a program it did not change", idx)
@@ -124,6 +126,9 @@ func TestInjectAddsAssert(t *testing.T) {
 			prog, err := p.Compile()
 			if err != nil {
 				t.Fatalf("rand-%d: %v", idx, err)
+			}
+			if !reflect.DeepEqual(handedProg, prog) {
+				t.Errorf("rand-%d: handed-over compiled program differs from a fresh compile", idx)
 			}
 			for _, r := range enums {
 				handed++
@@ -134,8 +139,8 @@ func TestInjectAddsAssert(t *testing.T) {
 			}
 			continue
 		}
-		if enums != nil {
-			t.Errorf("rand-%d: inject handed over enumerations of the program before its assert", idx)
+		if handedProg != nil || enums != nil {
+			t.Errorf("rand-%d: inject handed over the program before its assert", idx)
 		}
 		injected++
 		if len(q.Forbidden) != len(q.Observe) {

@@ -40,6 +40,53 @@ func TestCorpusDeterministic(t *testing.T) {
 	}
 }
 
+// eagerCorpus is the reference Corpus instantiates lazily: it builds the
+// whole template pool up front and takes every fourth entry from it.
+func eagerCorpus(seed int64, n int) (corpus []*Prog, pool int) {
+	var templates []*Prog
+	for _, threads := range []int{2, 3} {
+		for _, shape := range staticanalysis.CriticalCycleShapes(memmodel.RMO, threads) {
+			for _, v := range TemplateVariants() {
+				templates = append(templates, TemplateProg(shape, v))
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if i%4 == 0 && i/4 < len(templates) {
+			corpus = append(corpus, templates[i/4])
+		} else {
+			corpus = append(corpus, RandomProg(seed, i))
+		}
+	}
+	return corpus, len(templates)
+}
+
+// TestCorpusMatchesEagerPool: Corpus, which instantiates only the
+// templates it returns, renders program for program what the eager pool
+// gives, over a corpus long enough to take every template and then only
+// random programs.
+func TestCorpusMatchesEagerPool(t *testing.T) {
+	_, pool := eagerCorpus(1, 0)
+	n := 4*pool + 9
+	want, _ := eagerCorpus(1, n)
+	got := Corpus(1, n)
+	if len(got) != n {
+		t.Fatalf("Corpus(1, %d) has %d programs", n, len(got))
+	}
+	templates := 0
+	for i := range want {
+		if got[i].Template {
+			templates++
+		}
+		if got[i].Name != want[i].Name || got[i].Template != want[i].Template || got[i].Render() != want[i].Render() {
+			t.Fatalf("corpus[%d]: got %s\n%s\nwant %s\n%s", i, got[i].Name, got[i].Render(), want[i].Name, want[i].Render())
+		}
+	}
+	if templates != pool {
+		t.Errorf("corpus of %d programs holds %d templates, want the whole pool of %d", n, templates, pool)
+	}
+}
+
 func TestCorpusCompiles(t *testing.T) {
 	for i, p := range Corpus(7, 120) {
 		if _, err := p.Compile(); err != nil {

@@ -150,7 +150,7 @@ func TestSleepSetSkipsOnlyExpandedStates(t *testing.T) {
 			return
 		}
 		key = tmp.AppendStateKey(key[:0])
-		if _, ok := e.seen[string(key)]; !ok {
+		if _, ok := e.seen.find(e.seen.hash(key), key); !ok {
 			missed++
 		}
 	}
