@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -41,8 +42,14 @@ type document struct {
 	Benchmarks []benchmark `json:"benchmarks"`
 }
 
+// procsSuffix matches the "-N" GOMAXPROCS suffix go test -bench appends
+// to every benchmark name when GOMAXPROCS > 1.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
 // load reads a benchjson document and averages duplicate benchmark names
-// (repeated -count runs) into one metric set per name.
+// (repeated -count runs) into one metric set per name. Names are keyed
+// without their GOMAXPROCS suffix, so snapshots recorded at different
+// GOMAXPROCS compare (BenchmarkX/pooled-machine-2 is BenchmarkX/pooled-machine).
 func load(path string) (map[string]map[string]float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -55,13 +62,14 @@ func load(path string) (map[string]map[string]float64, error) {
 	sums := make(map[string]map[string]float64)
 	counts := make(map[string]map[string]int)
 	for _, b := range doc.Benchmarks {
-		if sums[b.Name] == nil {
-			sums[b.Name] = make(map[string]float64)
-			counts[b.Name] = make(map[string]int)
+		name := procsSuffix.ReplaceAllString(b.Name, "")
+		if sums[name] == nil {
+			sums[name] = make(map[string]float64)
+			counts[name] = make(map[string]int)
 		}
 		for unit, v := range b.Metrics {
-			sums[b.Name][unit] += v
-			counts[b.Name][unit]++
+			sums[name][unit] += v
+			counts[name][unit]++
 		}
 	}
 	for name, m := range sums {
@@ -72,30 +80,39 @@ func load(path string) (map[string]map[string]float64, error) {
 	return sums, nil
 }
 
-func main() {
-	oldPath := flag.String("old", "", "baseline benchjson snapshot (committed)")
-	newPath := flag.String("new", "", "fresh benchjson snapshot to gate")
-	benchRe := flag.String("bench", ".", "regexp selecting which benchmarks gate")
-	threshold := flag.Float64("threshold", 1.3, "maximum tolerated regression ratio")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns
+// the exit status: 0 within the threshold, 1 on a regression or when no
+// benchmark is in both snapshots, 2 on a usage or input error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	oldPath := fs.String("old", "", "baseline benchjson snapshot (committed)")
+	newPath := fs.String("new", "", "fresh benchjson snapshot to gate")
+	benchRe := fs.String("bench", ".", "regexp selecting which benchmarks gate")
+	threshold := fs.Float64("threshold", 1.3, "maximum tolerated regression ratio")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *oldPath == "" || *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -old and -new are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate: -old and -new are required")
+		return 2
 	}
 	re, err := regexp.Compile(*benchRe)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
 	oldB, err := load(*oldPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
 	newB, err := load(*newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
 
 	var names []string
@@ -106,8 +123,8 @@ func main() {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no benchmark matches %q in both snapshots\n", *benchRe)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchgate: no benchmark matches %q in both snapshots\n", *benchRe)
+		return 1
 	}
 
 	failed := 0
@@ -130,13 +147,14 @@ func main() {
 				verdict = "REGRESSED"
 				failed++
 			}
-			fmt.Printf("%-60s %-10s old=%-14.4g new=%-14.4g ratio=%.3f %s\n",
+			fmt.Fprintf(stdout, "%-60s %-10s old=%-14.4g new=%-14.4g ratio=%.3f %s\n",
 				name, g.unit, ov, nv, ratio, verdict)
 		}
 	}
 	if failed > 0 {
-		fmt.Printf("benchgate: %d metric(s) regressed past %.2fx\n", failed, *threshold)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "benchgate: %d metric(s) regressed past %.2fx\n", failed, *threshold)
+		return 1
 	}
-	fmt.Printf("benchgate: all gated metrics within %.2fx of baseline\n", *threshold)
+	fmt.Fprintf(stdout, "benchgate: all gated metrics within %.2fx of baseline\n", *threshold)
+	return 0
 }

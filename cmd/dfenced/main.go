@@ -53,7 +53,7 @@ func main() {
 func runServe(argv []string) int {
 	fs := flag.NewFlagSet("dfenced", flag.ExitOnError)
 	var (
-		spoolDir    = fs.String("spool", "dfenced-spool", "spool directory (durable state: jobs, journals, memo)")
+		spoolDir    = fs.String("spool", "dfenced-spool", "spool directory (durable state: job log, journals, traces)")
 		listen      = fs.String("listen", "127.0.0.1:8753", "HTTP listen address")
 		jobs        = fs.Int("jobs", 2, "concurrent synthesis jobs")
 		maxAttempts = fs.Int("max-attempts", 3, "attempts before a job is quarantined")

@@ -292,15 +292,21 @@ var pruneHook func(e *enumerator, ch *choice)
 // Enumerate explores every schedule of prog under model within the
 // budgets. prog must be linked.
 func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumResult {
-	e := enumPool.Get().(*enumerator)
-	defer enumPool.Put(e)
-	return e.enumerate(prog, model, opts)
+	return enumerate(interp.Compile(prog), model, opts)
 }
 
-// enumerate is Enumerate on e's storage.
-func (e *enumerator) enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumResult {
+// enumerate is Enumerate of an already compiled program, so a caller
+// enumerating one program under several models compiles it once.
+func enumerate(c *interp.Compiled, model memmodel.Model, opts EnumOptions) *EnumResult {
+	e := enumPool.Get().(*enumerator)
+	defer enumPool.Put(e)
+	return e.walk(c, model, opts)
+}
+
+// walk is enumerate on e's storage.
+func (e *enumerator) walk(c *interp.Compiled, model memmodel.Model, opts EnumOptions) *EnumResult {
 	opts.fill()
-	e.start(interp.Compile(prog), model, opts)
+	e.start(c, model, opts)
 	res := &EnumResult{
 		Model:      model,
 		Outcomes:   make(map[string]bool),

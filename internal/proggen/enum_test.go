@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dfence/internal/interp"
 	"dfence/internal/ir"
 	"dfence/internal/litmus"
 	"dfence/internal/memmodel"
@@ -165,8 +166,8 @@ func TestEnumeratorReuseMatchesFresh(t *testing.T) {
 	reused := newEnumerator()
 	tripped := false
 	for _, c := range reuseCells(t) {
-		got := reused.enumerate(c.prog, c.model, c.opts)
-		want := newEnumerator().enumerate(c.prog, c.model, c.opts)
+		got := reused.walk(interp.Compile(c.prog), c.model, c.opts)
+		want := newEnumerator().walk(interp.Compile(c.prog), c.model, c.opts)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reused enumerator %s, fresh %s", c.name, enumDigest(got), enumDigest(want))
 		}
@@ -195,7 +196,7 @@ func TestEnumerateConcurrent(t *testing.T) {
 	cells = append(cells, reuseCells(t)...)
 	want := make([]*EnumResult, len(cells))
 	for i, c := range cells {
-		want[i] = newEnumerator().enumerate(c.prog, c.model, c.opts)
+		want[i] = newEnumerator().walk(interp.Compile(c.prog), c.model, c.opts)
 	}
 	got := make([][]*EnumResult, 2)
 	var wg sync.WaitGroup

@@ -212,15 +212,16 @@ func Fuzz(cfg FuzzConfig) *FuzzReport {
 	corpus := Corpus(cfg.Seed, cfg.N)
 	for idx, p := range corpus {
 		var prog *ir.Program
+		var c *interp.Compiled
 		var enums []*EnumResult
 		if p.Template {
 			f.rep.Templates++
 		} else {
 			f.rep.Randoms++
-			p, prog, enums = f.inject(p, idx)
+			p, prog, c, enums = f.inject(p, idx)
 		}
 		f.rep.Programs++
-		divs := f.check(p, prog, idx, f.cfg.Models, enums)
+		divs := f.check(p, prog, c, idx, f.cfg.Models, enums)
 		for _, d := range divs {
 			if !f.cfg.NoShrink {
 				f.shrink(d)
@@ -239,21 +240,23 @@ func Fuzz(cfg FuzzConfig) *FuzzReport {
 // model reaches an outcome that SC provably cannot, assert the negation
 // of the lexicographically smallest such outcome. The program is then
 // SC-clean by construction with a violation reachable under that model.
-// When it leaves the program unchanged it also returns the compiled
-// program and the enumerations it computed, so check neither compiles
-// nor enumerates the same program again.
-func (f *fuzzer) inject(p *Prog, idx int) (*Prog, *ir.Program, []*EnumResult) {
+// When it leaves the program unchanged it also returns the program
+// compiled to IR and to the interpreter's form, and the enumerations it
+// computed, so check neither compiles nor enumerates the same program
+// again.
+func (f *fuzzer) inject(p *Prog, idx int) (*Prog, *ir.Program, *interp.Compiled, []*EnumResult) {
 	prog, err := p.Compile()
 	if err != nil {
-		return p, nil, nil // check() will report compile-error
+		return p, nil, nil, nil // check() will report compile-error
 	}
-	esc := Enumerate(prog, memmodel.SC, f.cfg.Enum)
+	c := interp.Compile(prog)
+	esc := enumerate(c, memmodel.SC, f.cfg.Enum)
 	enums := []*EnumResult{esc}
 	if !esc.Complete {
-		return p, prog, enums
+		return p, prog, c, enums
 	}
 	for _, model := range f.cfg.Models {
-		em := Enumerate(prog, model, f.cfg.Enum)
+		em := enumerate(c, model, f.cfg.Enum)
 		enums = append(enums, em)
 		if !em.Complete {
 			continue
@@ -276,9 +279,9 @@ func (f *fuzzer) inject(p *Prog, idx int) (*Prog, *ir.Program, []*EnumResult) {
 		q.Forbidden = conds
 		q.Name = p.Name + "+assert"
 		f.rep.Injected++
-		return q, nil, nil
+		return q, nil, nil, nil
 	}
-	return p, prog, enums
+	return p, prog, c, enums
 }
 
 // outcomeConds converts a canonical outcome string back into the
@@ -392,11 +395,12 @@ func (f *fuzzer) synthConfig(model memmodel.Model, seed int64, execs, rounds int
 }
 
 // check runs the full differential comparison of one prepared program
-// under the given models and returns every divergence found. prog, when
-// non-nil, is p already compiled, and enums holds enumerations of p
-// already computed (both by inject); p is compiled here otherwise, and
-// any model missing from enums is enumerated here.
-func (f *fuzzer) check(p *Prog, prog *ir.Program, idx int, models []memmodel.Model, enums []*EnumResult) []*Divergence {
+// under the given models and returns every divergence found. prog and c,
+// when non-nil, are p already compiled to IR and to the interpreter's
+// form, and enums holds enumerations of p already computed (all by
+// inject); p is compiled here otherwise, once, and any model missing from
+// enums is enumerated here.
+func (f *fuzzer) check(p *Prog, prog *ir.Program, c *interp.Compiled, idx int, models []memmodel.Model, enums []*EnumResult) []*Divergence {
 	var divs []*Divergence
 	report := func(kind string, model memmodel.Model, format string, args ...any) {
 		divs = append(divs, &Divergence{
@@ -426,19 +430,22 @@ func (f *fuzzer) check(p *Prog, prog *ir.Program, idx int, models []memmodel.Mod
 		if ep, err := q.Compile(); err == nil {
 			enumProg = ep
 		}
-		enums = nil // they describe p, not the stripped clone
+		c, enums = nil, nil // they describe p, not the stripped clone
 	}
-	enumerate := func(model memmodel.Model) *EnumResult {
+	enumOf := func(model memmodel.Model) *EnumResult {
 		for _, r := range enums {
 			if r.Model == model {
 				return r
 			}
 		}
-		return Enumerate(enumProg, model, f.cfg.Enum)
+		if c == nil {
+			c = interp.Compile(enumProg)
+		}
+		return enumerate(c, model, f.cfg.Enum)
 	}
 	baseSeed := ProgSeed(f.cfg.Seed, idx)
 
-	esc := enumerate(memmodel.SC)
+	esc := enumOf(memmodel.SC)
 	if !esc.Complete {
 		f.rep.EnumPartial++
 		note("SC enumeration incomplete (%d states)", esc.States)
@@ -451,7 +458,7 @@ func (f *fuzzer) check(p *Prog, prog *ir.Program, idx int, models []memmodel.Mod
 	violating := false
 	for _, model := range models {
 		f.rep.Checked++
-		em := enumerate(model)
+		em := enumOf(model)
 		if !em.Complete {
 			f.rep.EnumPartial++
 			note("%v enumeration incomplete (%d states)", model, em.States)

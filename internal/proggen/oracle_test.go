@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dfence/internal/interp"
 	"dfence/internal/memmodel"
 )
 
@@ -109,16 +110,16 @@ func TestOracleGates(t *testing.T) {
 // program whose weak-model behaviors strictly exceed SC gains a Forbidden
 // clause matching one of the extra outcomes, making it a synthesis target
 // with known ground truth. A program left unchanged comes back compiled
-// and with the enumerations inject computed, which check then reuses: the
-// compiled program must equal a fresh compile, and each enumeration a
-// fresh enumeration of the program.
+// (to IR and to the interpreter's form) and with the enumerations inject
+// computed, which check then reuses: both compiled forms must equal a
+// fresh compile, and each enumeration a fresh enumeration of the program.
 func TestInjectAddsAssert(t *testing.T) {
 	f := &fuzzer{cfg: smokeConfig(5, 0), rep: &FuzzReport{}}
 	f.cfg.Fill()
 	injected, handed := 0, 0
 	for idx := 0; idx < 40; idx++ {
 		p := RandomProg(5, idx)
-		q, handedProg, enums := f.inject(p, idx)
+		q, handedProg, handedC, enums := f.inject(p, idx)
 		if len(q.Forbidden) == 0 {
 			if q != p {
 				t.Errorf("rand-%d: inject replaced a program it did not change", idx)
@@ -130,6 +131,9 @@ func TestInjectAddsAssert(t *testing.T) {
 			if !reflect.DeepEqual(handedProg, prog) {
 				t.Errorf("rand-%d: handed-over compiled program differs from a fresh compile", idx)
 			}
+			if handedC == nil || handedC.Fingerprint() != interp.Compile(prog).Fingerprint() {
+				t.Errorf("rand-%d: handed-over interpreter program differs from a fresh compile", idx)
+			}
 			for _, r := range enums {
 				handed++
 				fresh := Enumerate(prog, r.Model, f.cfg.Enum)
@@ -139,7 +143,7 @@ func TestInjectAddsAssert(t *testing.T) {
 			}
 			continue
 		}
-		if handedProg != nil || enums != nil {
+		if handedProg != nil || handedC != nil || enums != nil {
 			t.Errorf("rand-%d: inject handed over the program before its assert", idx)
 		}
 		injected++

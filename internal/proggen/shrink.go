@@ -42,7 +42,7 @@ func (f *fuzzer) shrink(d *Divergence) {
 			return false
 		}
 		budget--
-		for _, dd := range sub.check(c, nil, d.Index, []memmodel.Model{d.Model}, nil) {
+		for _, dd := range sub.check(c, nil, nil, d.Index, []memmodel.Model{d.Model}, nil) {
 			if dd.Kind == d.Kind && dd.Model == d.Model {
 				return true
 			}

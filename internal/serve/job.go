@@ -1,7 +1,7 @@
 // Job specification and construction: how a dfenced HTTP submission
 // becomes a run description (a telemetry.RunStart, which core.Load turns
 // into a program and core.Config), and how a finished run is summarized
-// back to the client and the memo store.
+// back to the client and the memo.
 package serve
 
 import (
@@ -141,8 +141,8 @@ func (s JobState) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateQuarantined
 }
 
-// JobResult is the client-facing digest of a finished run — also the memo
-// store's value, so a memo hit reproduces exactly what the original job
+// JobResult is the client-facing digest of a finished run — also the
+// memo's value, so a memo hit reproduces exactly what the original job
 // reported.
 type JobResult struct {
 	Outcome           string            `json:"outcome"`
@@ -170,9 +170,9 @@ func resultDigest(res *core.Result) *JobResult {
 	}
 }
 
-// Job is the durable record of one submission: the spool persists exactly
-// this struct as jobs/<id>.json, so a restarted dfenced re-discovers the
-// full lifecycle state.
+// Job is the durable record of one submission: the spool appends exactly
+// this struct as one line of jobs.log per transition, so a restarted
+// dfenced re-discovers the full lifecycle state.
 type Job struct {
 	ID    string   `json:"id"`
 	Spec  JobSpec  `json:"spec"`
@@ -184,7 +184,7 @@ type Job struct {
 	Error    string `json:"error,omitempty"`
 	// MemoKey is the result-identity fingerprint (set once the spec has
 	// been built successfully). FromMemo marks a job answered from the
-	// memo store without running.
+	// memo without running.
 	MemoKey  string     `json:"memo_key,omitempty"`
 	FromMemo bool       `json:"from_memo,omitempty"`
 	Result   *JobResult `json:"result,omitempty"`

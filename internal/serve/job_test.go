@@ -3,7 +3,7 @@ package serve
 import "testing"
 
 // TestMemoKeysPinned pins the memo key of representative job specs. A
-// spool's memo entries are filed under these keys, so a change to how a
+// spool's done records are memo entries under these keys, so a change to how a
 // spec becomes a program and run description must leave every one of them
 // unchanged — otherwise a restarted dfenced silently recomputes every
 // result it already has.

@@ -7,10 +7,13 @@
 // relevant configuration, and a graceful drain that stops in-flight jobs
 // at their next round boundary with checkpoints flushed.
 //
-// Every piece of state a restart needs lives in the spool (see spool.go);
-// the Server itself holds only an in-memory mirror. Crash anywhere,
-// restart with the same -spool, and New re-discovers the queue: done jobs
-// stay done, queued and running jobs requeue, and their journals resume.
+// Every piece of state a restart needs lives in the spool (see spool.go):
+// an append-only job log with one fsynced line per job transition, plus
+// per-job run journals. The Server itself holds only an in-memory mirror
+// of the log — the jobs, and the memo, which is every done job's result
+// by memo key. Crash anywhere, restart with the same -spool, and New
+// replays the log: done jobs stay done (and answer the memo again),
+// queued and running jobs requeue, and their journals resume.
 package serve
 
 import (
@@ -92,6 +95,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	memo     map[string]*JobResult // MemoKey -> result of a done job
 	timers   map[string]*time.Timer
 	tracers  map[string]*trace.Tracer // live per-job tracers (running attempts)
 	draining bool
@@ -108,7 +112,7 @@ func New(opts Options) (*Server, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("serve: Options.Dir is required")
 	}
-	sp, err := openSpool(opts.Dir)
+	sp, existing, err := openSpool(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -119,16 +123,14 @@ func New(opts Options) (*Server, error) {
 		queue:   make(chan string, 4096),
 		drainCh: make(chan struct{}),
 		jobs:    make(map[string]*Job),
+		memo:    make(map[string]*JobResult),
 		timers:  make(map[string]*time.Timer),
 		tracers: make(map[string]*trace.Tracer),
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	existing, err := sp.loadJobs()
-	if err != nil {
-		return nil, err
-	}
 	for _, j := range existing {
 		s.jobs[j.ID] = j
+		s.remember(j)
 		switch j.State {
 		case StateRunning:
 			// The previous process died mid-run. Requeue; the run journal's
@@ -136,6 +138,7 @@ func New(opts Options) (*Server, error) {
 			j.State = StateQueued
 			j.UpdateTime = time.Now()
 			if err := sp.saveJob(j); err != nil {
+				sp.close()
 				return nil, err
 			}
 			s.enqueue(j.ID)
@@ -168,7 +171,8 @@ func (s *Server) Start() {
 // cancelled, and every in-flight synthesis told to stop at its next round
 // boundary (Config.Interrupt) — where its checkpoint is already flushed
 // and fsynced, so the interrupted jobs requeue with zero lost rounds. It
-// returns when all workers have exited or ctx expires.
+// returns when all workers have exited or ctx expires; the job log is
+// closed once every worker has exited.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -183,6 +187,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		s.mu.Lock()
+		s.sp.close()
+		s.mu.Unlock()
 		close(done)
 	}()
 	select {
@@ -253,18 +260,7 @@ func (s *Server) Submit(spec JobSpec) (job *Job, coalesced bool, err error) {
 		}
 	}
 	now := time.Now()
-	r, ok := s.sp.loadMemo(key)
-	if !ok {
-		// A finishing job publishes Done before its memo entry is written;
-		// answer from its in-memory result rather than run it again.
-		for _, ej := range s.jobs {
-			if ej.MemoKey == key && ej.State == StateDone && ej.Result != nil {
-				r, ok = ej.Result, true
-				break
-			}
-		}
-	}
-	if ok {
+	if r, ok := s.memo[key]; ok {
 		j := &Job{
 			ID: s.newID(), Spec: spec, State: StateDone,
 			MemoKey: key, FromMemo: true, Result: r,
@@ -365,14 +361,25 @@ func sortJobs(jobs []*Job) {
 	}
 }
 
+// remember files a done job's result as the memo entry for its key.
+// Called under mu (or before the server is shared).
+func (s *Server) remember(j *Job) {
+	if j.State == StateDone && j.MemoKey != "" && j.Result != nil {
+		s.memo[j.MemoKey] = j.Result
+	}
+}
+
 // setState transitions a job under the lock and persists the record. The
 // spool write happening inside the lock keeps disk and memory ordered:
-// no later transition can overtake an earlier one's persistence.
+// no later transition can overtake an earlier one's persistence. A job
+// that becomes done with a result is the memo entry for its key from the
+// same moment, so its record and its memo entry are one write.
 func (s *Server) setState(j *Job, mut func(*Job)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mut(j)
 	j.UpdateTime = time.Now()
+	s.remember(j)
 	_ = s.sp.saveJob(j) // spool write failure must not take the server down
 }
 
@@ -398,13 +405,20 @@ func (s *Server) runJob(id string) {
 	if j.MemoKey == "" {
 		s.setState(j, func(j *Job) { j.MemoKey = memoKey(prog, start) })
 	}
-	if r, ok := s.sp.loadMemo(j.MemoKey); ok {
+	s.mu.Lock()
+	r, memoized := s.memo[j.MemoKey]
+	s.mu.Unlock()
+	if memoized {
 		// An identical job finished (possibly in a previous process life)
 		// while this one waited.
 		s.setState(j, func(j *Job) { j.State = StateDone; j.FromMemo = true; j.Result = r })
 		return
 	}
 
+	if err := s.sp.makeJobDirs(); err != nil {
+		s.failTransient(j, err)
+		return
+	}
 	// Open the run journal: resume it if a previous attempt (or process
 	// life) left one behind, otherwise start fresh. A journal too corrupt
 	// to resume is discarded — the job simply runs from round one.
@@ -485,7 +499,6 @@ func (s *Server) runJob(id string) {
 	default:
 		digest := resultDigest(res)
 		s.setState(j, func(j *Job) { j.State = StateDone; j.Result = digest; j.Error = "" })
-		_ = s.sp.saveMemo(j.MemoKey, digest)
 	}
 }
 

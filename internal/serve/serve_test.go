@@ -314,7 +314,8 @@ func TestQueueLimitSheds(t *testing.T) {
 }
 
 // TestCrashResumeCompletes: the spool is pre-filled with exactly what a
-// SIGKILL-ed dfenced leaves behind — a job record frozen in "running" and
+// SIGKILL-ed dfenced leaves behind — a job log whose last record for the
+// job is frozen in "running", and
 // a journal cut at the first checkpoint with a torn line after it — and a
 // fresh server life must requeue the job, resume from the checkpoint, and
 // finish with a Result identical to an uninterrupted run's.
@@ -355,10 +356,13 @@ func TestCrashResumeCompletes(t *testing.T) {
 	}
 
 	// Fabricate the crashed spool: journal truncated just past the first
-	// Checkpoint line plus a torn tail, job record mid-flight.
+	// Checkpoint line plus a torn tail, job's last logged record mid-flight.
 	dir := t.TempDir()
-	sp, err := openSpool(dir)
+	sp, _, err := openSpool(dir)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.makeJobDirs(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(refJournal.String(), "\n")
@@ -380,6 +384,9 @@ func TestCrashResumeCompletes(t *testing.T) {
 		SubmitTime: time.Now(), UpdateTime: time.Now(),
 	}
 	if err := sp.saveJob(crashed); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,9 +5,11 @@
 # enough that the run spans several seconds, SIGKILLs the daemon once the
 # journal holds a checkpoint, restarts it on the same spool, and asserts
 # the job resumes to completion with the expected fence — then that a
-# resubmission answers from the memo store, and that SIGTERM drains
-# cleanly. Everything the run touches stays under $SMOKE_DIR so CI can
-# upload it as an artifact when an assertion trips.
+# resubmission answers from the memo, and that SIGTERM drains cleanly. A
+# third life on the same spool (its job log now compacted) must still
+# report the job done with the same fences and answer a further
+# resubmission from the memo. Everything the run touches stays under
+# $SMOKE_DIR so CI can upload it as an artifact when an assertion trips.
 #
 #   SMOKE_DIR  working directory (default /tmp/dfence_serve_smoke; wiped)
 #   GO         go command (default go)
@@ -111,4 +113,27 @@ kill -TERM "$PID"
 wait "$PID" || fail "daemon exited non-zero on graceful shutdown"
 PID=
 
-say "ok (crash mid-run, resume to convergence, memo hit, graceful drain)"
+# fences <file>: the fence fields of a job record or result, whitespace
+# stripped, so a result and a full record compare.
+fences() { grep -E '"(after|label|kind|func)":' "$1" | tr -d ' '; }
+
+say "restarting dfenced on the drained spool (life 3)"
+start_daemon "$DIR/daemon3.log"
+"$DIR/dfenced" status -addr "$ADDR" "$JOB" >"$DIR/status3.json" || fail "status of $JOB failed in life 3"
+cat "$DIR/status3.json"
+grep -q '"state": *"done"' "$DIR/status3.json" || fail "job $JOB is no longer done after a restart"
+[ -n "$(fences "$DIR/result.json")" ] || fail "no fences in the life-2 result"
+[ "$(fences "$DIR/status3.json")" = "$(fences "$DIR/result.json")" ] ||
+    fail "life 3 reports fences $(fences "$DIR/status3.json"), life 2 reported $(fences "$DIR/result.json")"
+
+say "resubmitting the same spec again (must hit the memo read from the job log)"
+"$DIR/dfenced" submit -addr "$ADDR" -model pso -seed 7 -execs "$EXECS" -rounds 6 \
+    examples/mailbox.mc >"$DIR/submit3.out"
+cat "$DIR/submit3.out"
+grep -q "from_memo" "$DIR/submit3.out" || fail "resubmission in life 3 did not hit the memo"
+
+kill -TERM "$PID"
+wait "$PID" || fail "daemon exited non-zero on graceful shutdown (life 3)"
+PID=
+
+say "ok (crash mid-run, resume to convergence, memo hit, graceful drain, restart on the compacted spool)"
