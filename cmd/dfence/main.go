@@ -84,8 +84,9 @@
 //
 // Resilience flags (see DESIGN.md, Resilience):
 //
-//	-exec-timeout    wall-clock budget per execution (0 = none); runs that
-//	                 exceed it count as inconclusive
+//	-max-iters       scheduler-iteration budget per execution (0 = none);
+//	                 runs that exceed it count as inconclusive, the same
+//	                 runs on every machine
 //	-deadline        wall-clock budget for the whole synthesis (0 = none);
 //	                 on expiry the partial rounds are reported as aborted
 //	-min-conclusive  floor on the conclusive fraction of a violation-free
@@ -140,7 +141,6 @@ func main() {
 		rounds   = flag.Int("rounds", 10, "maximum repair rounds")
 		flushP   = flag.Float64("flush", 0, "flush probability (0 = model default, negative = never flush early)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		execTO   = flag.Duration("exec-timeout", 0, "wall-clock budget per execution (0 = none)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole synthesis (0 = none)")
 		minConc  = flag.Float64("min-conclusive", 0, "conclusive fraction a violation-free round needs to converge (0 = default 0.5, negative = disabled)")
 		maxMod   = flag.Int("max-models", 0, "cap on minimal-model enumeration per round (0 = default 4096, negative = unlimited)")
@@ -238,7 +238,7 @@ func main() {
 		}
 	}
 	cfg.Workers = workers
-	cfg.ExecTimeout, cfg.Deadline = *execTO, *deadline
+	cfg.Deadline = *deadline
 
 	// Telemetry setup. The witness capture sink always runs (it is two
 	// type switches per cold event); metrics only when something will read

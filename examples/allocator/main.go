@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"dfence/internal/core"
-	"dfence/internal/eval"
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/spec"
@@ -55,7 +54,7 @@ func main() {
 		fmt.Printf("  %v: %d fence(s) after %d executions (converged=%v)\n",
 			crit, len(res.Fences), res.TotalExecutions, res.Converged)
 		for _, f := range res.Fences {
-			fmt.Printf("    %v %s\n", f.Kind, eval.DescribeFence(res.Program, f))
+			fmt.Printf("    %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"log"
 
 	"dfence/internal/core"
-	"dfence/internal/eval"
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/spec"
@@ -70,7 +69,7 @@ func main() {
 		}
 		fmt.Printf("  %v / %v — %s\n", c.model, c.crit, c.fig)
 		for _, f := range res.Fences {
-			fmt.Printf("    %v %s\n", f.Kind, eval.DescribeFence(res.Program, f))
+			fmt.Printf("    %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 		}
 		if len(res.Fences) == 0 {
 			fmt.Println("    (none)")

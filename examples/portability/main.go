@@ -15,7 +15,6 @@ import (
 	"log"
 
 	"dfence/internal/core"
-	"dfence/internal/eval"
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/spec"
@@ -50,7 +49,7 @@ func main() {
 			}
 			fmt.Printf("  %-3v: %d fence(s) [%s]\n", m, len(res.Fences), status)
 			for _, f := range res.Fences {
-				fmt.Printf("        %v %s\n", f.Kind, eval.DescribeFence(res.Program, f))
+				fmt.Printf("        %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 			}
 		}
 		fmt.Println()

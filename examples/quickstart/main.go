@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"dfence/internal/core"
-	"dfence/internal/eval"
 	"dfence/internal/lang"
 	"dfence/internal/memmodel"
 	"dfence/internal/spec"
@@ -70,7 +69,7 @@ func main() {
 	fmt.Printf("\nsynthesis: %d round(s), %d executions, converged=%v\n",
 		len(res.Rounds), res.TotalExecutions, res.Converged)
 	for _, f := range res.Fences {
-		fmt.Printf("inferred: %v %s\n", f.Kind, eval.DescribeFence(res.Program, f))
+		fmt.Printf("inferred: %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 	}
 
 	// 3. Confirm the repaired program is clean.

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"dfence/internal/core"
-	"dfence/internal/eval"
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/sched"
@@ -40,7 +39,7 @@ func main() {
 	}
 	fmt.Printf("synthesis converged=%v with %d fence(s):\n", res.Converged, len(res.Fences))
 	for _, f := range res.Fences {
-		fmt.Printf("  %v %s\n", f.Kind, eval.DescribeFence(res.Program, f))
+		fmt.Printf("  %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 	}
 	if res.Witness == nil {
 		log.Fatal("no witness captured")

@@ -92,20 +92,13 @@ type Config struct {
 	// EnforceWithCAS realizes ordering predicates as dummy-location CAS
 	// instructions instead of fences (paper §4.2, TSO only).
 	EnforceWithCAS bool
-	// ExecTimeout bounds each round execution's wall-clock time (0 =
-	// none). A run that exceeds it stops and is counted Inconclusive —
-	// the guard against pathological schedules that MaxStepsPerExec alone
-	// cannot bound in time. Wall-clock cuts are machine-dependent, so
-	// leave it zero when bit-identical results across runs matter.
-	ExecTimeout time.Duration
 	// MaxItersPerExec bounds each execution's scheduler-loop iterations
-	// (0 = none) — a safety net, and the deterministic analogue of
-	// ExecTimeout. Deferral spins make no machine steps, so
+	// (0 = none) — a safety net. Deferral spins make no machine steps, so
 	// MaxStepsPerExec cannot bound them; the scheduler's vow lifetime
 	// already ends the portfolio's spins, and this budget counts every
 	// loop iteration so that any remaining runaway schedule is cut
 	// identically on every machine (judged Inconclusive, like a
-	// step-limit hit).
+	// step-limit hit), unlike a Deadline cut.
 	MaxItersPerExec int
 	// Deadline bounds the whole repair loop's wall-clock time (0 = none).
 	// When it expires, the in-flight round is cut short, the rounds
@@ -267,7 +260,8 @@ type Round struct {
 	// Violations is how many of them violated the specification.
 	Violations int
 	// Inconclusive counts executions that ran but produced no verdict:
-	// step-limit hits, wall-clock timeouts, and errored (panicked) runs.
+	// step-limit hits, executions cut by the deadline, and errored
+	// (panicked) runs.
 	Inconclusive int
 	// Errors counts the executions whose interpreter or observer panicked
 	// (a subset of Inconclusive); the structured errors land in
@@ -489,10 +483,10 @@ const (
 	verdictClean verdict = iota
 	// verdictViolation: the execution completed and violated the spec.
 	verdictViolation
-	// verdictInconclusive: the execution was cut off (step limit or
-	// wall-clock budget) before a verdict was possible. Previously such
-	// runs were silently lumped with "no violation"; now they are counted
-	// per round so coverage is visible.
+	// verdictInconclusive: the execution was cut off (step or iteration
+	// limit, or the run deadline) before a verdict was possible. Such runs
+	// are counted per round, not lumped with "no violation", so coverage
+	// is visible.
 	verdictInconclusive
 )
 

@@ -19,7 +19,7 @@
 //     interp.CompileWatched, which records per seed the bitmask of fences
 //     the execution reached; a trial then runs only the seeds whose
 //     outcome the candidate could actually change. A fence that cannot be
-//     watched — past the interp.MaxWatchedFences capacity of the mask, or
+//     watched — past the interp.MaxWatchLabels capacity of the mask, or
 //     lost to an insertion-site collision — counts as touched by every
 //     seed, so its trial runs the whole seed block. The validation pass
 //     arms the baseline opportunistically: a failed drop early-stops
@@ -254,7 +254,7 @@ type baseEntry struct {
 // fenceTrialCache drives the outcome transfer for one greedy
 // fence-dropping pass. Fences are identified by their index in the
 // original list (the canonical bit), which stays stable as the kept set
-// shrinks; only canonical bits below interp.MaxWatchedFences are watched.
+// shrinks; only canonical bits below interp.MaxWatchLabels are watched.
 type fenceTrialCache struct {
 	cfg     *Config
 	jcs     []judgeCache
@@ -270,7 +270,7 @@ func newFenceTrialCache(cfg *Config, jcs []judgeCache, budget int, optsFor func(
 }
 
 // watchable reports whether canonical fence bit fits the touched mask.
-func watchable(bit int) bool { return bit < interp.MaxWatchedFences }
+func watchable(bit int) bool { return bit < interp.MaxWatchLabels }
 
 // canonicalize maps a watch-order touched mask to canonical fence bits.
 func canonicalize(mask uint64, bits []int) uint64 {

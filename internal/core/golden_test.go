@@ -74,7 +74,7 @@ func goldenConfig(b *progs.Benchmark, model memmodel.Model) Config {
 }
 
 // manyFencesStores is the store count of the many-fences program: more
-// fences than interp.MaxWatchedFences, so the fence-touch transfer cannot
+// fences than interp.MaxWatchLabels, so the fence-touch transfer cannot
 // watch all of them.
 const manyFencesStores = 70
 
@@ -192,8 +192,8 @@ func goldenCells(t *testing.T) []goldenCell {
 			if err != nil {
 				return "", err
 			}
-			if res.SynthesizedFences <= interp.MaxWatchedFences {
-				return "", fmt.Errorf("validation saw %d fences, want more than %d", res.SynthesizedFences, interp.MaxWatchedFences)
+			if res.SynthesizedFences <= interp.MaxWatchLabels {
+				return "", fmt.Errorf("validation saw %d fences, want more than %d", res.SynthesizedFences, interp.MaxWatchLabels)
 			}
 			return digest(res), nil
 		},

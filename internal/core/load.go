@@ -49,7 +49,7 @@ func EffectiveFlushProb(p float64, model memmodel.Model) float64 {
 //
 // The Config carries every determinism-relevant field and Workers; the
 // per-process wiring (Sink, Metrics, Tracer, Interrupt, Resume,
-// ExecTimeout, Deadline) is left to the caller.
+// Deadline) is left to the caller.
 func Load(start *telemetry.RunStart) (*ir.Program, Config, error) {
 	model, err := memmodel.ParseModel(start.Model)
 	if err != nil {

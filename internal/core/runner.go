@@ -5,8 +5,8 @@
 // an index-ordered slice so the caller merges repair disjunctions into the
 // shared synth.Formula deterministically (by execution index, never by
 // completion order). Results are therefore bit-identical for any
-// Config.Workers value (wall-clock budgets, when enabled, are the one
-// opt-in source of nondeterminism).
+// Config.Workers value (the Deadline, when set, is the one opt-in source
+// of nondeterminism).
 package core
 
 import (
@@ -125,7 +125,6 @@ func roundOpts(cfg *Config, round, i int) sched.Options {
 		MaxSteps:  cfg.MaxStepsPerExec,
 		MaxIters:  cfg.MaxItersPerExec,
 		PORWindow: 64,
-		Timeout:   cfg.ExecTimeout,
 		Tracer:    cfg.Tracer,
 	}, i)
 	if cfg.OptionsHook != nil {

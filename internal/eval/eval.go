@@ -13,11 +13,9 @@ import (
 	"strings"
 
 	"dfence/internal/core"
-	"dfence/internal/ir"
 	"dfence/internal/memmodel"
 	"dfence/internal/progs"
 	"dfence/internal/spec"
-	"dfence/internal/synth"
 	"dfence/internal/telemetry"
 	"dfence/internal/trace"
 )
@@ -65,21 +63,10 @@ func (o *Options) fill() {
 	}
 }
 
-// FenceDesc renders one inferred fence the way Table 3 does: method plus
-// the source lines the fence sits between. The canonical type lives in
-// core (the unified Result renderer uses it); the alias preserves this
-// package's historical API.
-type FenceDesc = core.FenceDesc
-
-// DescribeFence locates a synthesized fence in source terms.
-func DescribeFence(p *ir.Program, f synth.InsertedFence) FenceDesc {
-	return core.DescribeFence(p, f)
-}
-
 // Cell is one Table 3 cell: the outcome of synthesis for one benchmark
 // under one (criterion, model) pair.
 type Cell struct {
-	Fences      []FenceDesc
+	Fences      []core.FenceDesc
 	Converged   bool
 	Unfixable   bool
 	Outcome     core.Outcome
@@ -199,7 +186,7 @@ func cellFrom(res *core.Result) Cell {
 		c.Coverage = float64(budget-res.TotalInconclusive) / float64(budget)
 	}
 	for _, f := range res.Fences {
-		c.Fences = append(c.Fences, DescribeFence(res.Program, f))
+		c.Fences = append(c.Fences, core.DescribeFence(res.Program, f))
 	}
 	sort.Slice(c.Fences, func(i, j int) bool {
 		a, b := c.Fences[i], c.Fences[j]

@@ -71,11 +71,11 @@ func TestCellStringForms(t *testing.T) {
 	if got := (Cell{Unfixable: true}).String(); got != "-" {
 		t.Errorf("unfixable cell = %q, want -", got)
 	}
-	c := Cell{Converged: true, Fences: []FenceDesc{{Func: "put", LineBefore: 4, LineAfter: 5}}}
+	c := Cell{Converged: true, Fences: []core.FenceDesc{{Func: "put", LineBefore: 4, LineAfter: 5}}}
 	if got := c.String(); got != "(put, 4:5)" {
 		t.Errorf("cell = %q", got)
 	}
-	end := Cell{Converged: true, Fences: []FenceDesc{{Func: "put", LineBefore: 5}}}
+	end := Cell{Converged: true, Fences: []core.FenceDesc{{Func: "put", LineBefore: 5}}}
 	if got := end.String(); got != "(put, 5:-)" {
 		t.Errorf("method-end cell = %q", got)
 	}

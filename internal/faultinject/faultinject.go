@@ -15,8 +15,9 @@
 //     runtime must recover it into a structured sched.ExecError and leave
 //     every other execution untouched.
 //   - Slow: the execution's observer stalls on every shared access — the
-//     model for a pathological schedule. With Config.ExecTimeout set, the
-//     execution must be cut off and counted inconclusive.
+//     model for a pathological schedule. With Config.Deadline set, the
+//     execution must be cut off when the deadline expires and counted
+//     inconclusive.
 //   - ExhaustSteps: the execution's step budget collapses to 1, forcing an
 //     immediate step-limit hit — the model for livelock. The round must
 //     count it inconclusive rather than "no violation".
@@ -42,7 +43,7 @@ const (
 	// tests pin FlushProb to make the access deterministic.
 	Panic
 	// Slow makes the execution's observer sleep SlowDelay on every shared
-	// access, so a configured ExecTimeout trips.
+	// access, so a configured Config.Deadline expires while it runs.
 	Slow
 	// ExhaustSteps overrides the execution's MaxSteps to 1, forcing an
 	// immediate, deterministic step-limit hit.

@@ -9,6 +9,7 @@ import (
 	"dfence/internal/ir"
 	"dfence/internal/memmodel"
 	"dfence/internal/spec"
+	"dfence/internal/telemetry"
 )
 
 // buildSB builds the store-buffering litmus with an assertion that fails
@@ -60,8 +61,8 @@ func buildSB(t *testing.T) *ir.Program {
 }
 
 // buildLoops builds a violation-free two-thread program whose workers loop
-// long enough (>1024 machine steps) for the scheduler's periodic budget
-// check to observe a wall-clock timeout.
+// long enough (>1024 machine steps) for the scheduler's periodic context
+// check to observe a cancelled run.
 func buildLoops(t *testing.T, iters int64) *ir.Program {
 	t.Helper()
 	p := ir.NewProgram()
@@ -271,36 +272,41 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 }
 
-// TestSlowExecutionTimesOut: a stalled execution is cut by ExecTimeout and
-// counted inconclusive, while the other executions of the round complete
-// and the run still converges (the program is violation-free).
-func TestSlowExecutionTimesOut(t *testing.T) {
+// TestSlowExecutionCutByDeadline: a stalled execution is cut when the
+// run's Deadline expires and counted inconclusive, while every other
+// execution of the round completes; the round is kept and the run
+// reports OutcomeAborted.
+func TestSlowExecutionCutByDeadline(t *testing.T) {
 	// Margins: an unfaulted execution of the 200-iteration loop takes a few
-	// ms (tens of ms under -race), far under the 400ms budget; the stalled
-	// one sleeps 5ms per shared access, so by the scheduler's first
-	// periodic budget check (step 1024, ~170 loads in) it has slept ~850ms
-	// — over the budget regardless of machine load, since sleeping needs no
+	// ms (tens of ms under -race), so the other 15 finish well inside the
+	// 400ms deadline; the stalled one sleeps 5ms per shared access, so by
+	// the scheduler's first periodic context check (iteration 1024,
+	// hundreds of shared accesses in) it has slept over a second — past
+	// the deadline regardless of machine load, since sleeping needs no
 	// CPU.
 	plan := faultinject.NewPlan(0).At(0, 2, faultinject.Slow)
 	plan.SlowDelay = 5 * time.Millisecond
 	cfg := sbConfig(4)
 	cfg.ExecsPerRound = 16
 	cfg.MaxRounds = 2
-	cfg.ExecTimeout = 400 * time.Millisecond
+	cfg.Deadline = 400 * time.Millisecond
 	cfg.OptionsHook = plan.Hook()
+	cfg.Metrics = telemetry.NewMetrics(telemetry.NewRegistry(cfg.Workers))
 	res, err := core.Synthesize(buildLoops(t, 200), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds[0].Inconclusive != 1 {
-		t.Fatalf("round 0 counted %d inconclusive, want the 1 stalled execution: %s",
-			res.Rounds[0].Inconclusive, res.Summary())
+	if res.Outcome != core.OutcomeAborted || res.Converged || len(res.Rounds) != 1 {
+		t.Fatalf("deadline-cut run gave outcome=%v converged=%v after %d rounds, want aborted after 1: %s",
+			res.Outcome, res.Converged, len(res.Rounds), res.Summary())
 	}
-	if res.Rounds[0].Errors != 0 {
-		t.Errorf("timeout misreported as an error: %s", res.Summary())
+	r := res.Rounds[0]
+	if r.Inconclusive != 1 || r.Errors != 0 || r.Skipped != 0 || r.Executions != cfg.ExecsPerRound {
+		t.Fatalf("round 0: %d executed, %d inconclusive, %d errors, %d skipped; want %d/1/0/0: %s",
+			r.Executions, r.Inconclusive, r.Errors, r.Skipped, cfg.ExecsPerRound, res.Summary())
 	}
-	if !res.Converged || res.Outcome != core.OutcomeConverged {
-		t.Fatalf("violation-free run did not converge: %s", res.Summary())
+	if got := cfg.Metrics.Timeouts.Value(); got != 1 {
+		t.Errorf("Metrics.Timeouts = %d, want the 1 stalled execution", got)
 	}
 }
 

@@ -46,21 +46,16 @@ type cfunc struct {
 // removal) — Machines never consult the ir maps at runtime, so a stale
 // Compiled silently executes the old code.
 type Compiled struct {
-	prog   *ir.Program
-	funcs  []cfunc
-	entry  int32
-	nwatch int
+	prog  *ir.Program
+	funcs []cfunc
+	entry int32
 }
 
 // Program returns the source program (for global lookups and reporting).
 func (c *Compiled) Program() *ir.Program { return c.prog }
 
-// WatchedFences returns how many fence labels are watched (the number of
-// meaningful low bits in Result.FenceTouched).
-func (c *Compiled) WatchedFences() int { return c.nwatch }
-
-// MaxWatchedFences is the capacity of the Result.FenceTouched bitmask.
-const MaxWatchedFences = 64
+// MaxWatchLabels is the capacity of the Result.FenceTouched bitmask.
+const MaxWatchLabels = 64
 
 // Compile lowers a linked program into its executable form.
 func Compile(p *ir.Program) *Compiled {
@@ -77,10 +72,10 @@ func Compile(p *ir.Program) *Compiled {
 // instruction in p, and executing it sets bit i of Result.FenceTouched.
 // The execution cache uses this to learn which candidate fences an
 // execution actually reached — a fence the execution never reaches cannot
-// change its outcome. At most MaxWatchedFences labels can be watched.
+// change its outcome. At most MaxWatchLabels labels can be watched.
 func CompileWatched(p *ir.Program, watch []ir.Label) (*Compiled, error) {
-	if len(watch) > MaxWatchedFences {
-		return nil, fmt.Errorf("interp: CompileWatched: %d watch labels exceed the maximum %d", len(watch), MaxWatchedFences)
+	if len(watch) > MaxWatchLabels {
+		return nil, fmt.Errorf("interp: CompileWatched: %d watch labels exceed the maximum %d", len(watch), MaxWatchLabels)
 	}
 	watchSlot := make(map[ir.Label]int16, len(watch))
 	for i, l := range watch {
@@ -91,7 +86,7 @@ func CompileWatched(p *ir.Program, watch []ir.Label) (*Compiled, error) {
 	for i, n := range names {
 		id[n] = int32(i)
 	}
-	c := &Compiled{prog: p, funcs: make([]cfunc, len(names)), nwatch: len(watch)}
+	c := &Compiled{prog: p, funcs: make([]cfunc, len(names))}
 	seen := 0
 	for i, n := range names {
 		f := p.Funcs[n]

@@ -109,7 +109,7 @@ func compileWatchingFences(t *testing.T, prog *ir.Program) *interp.Compiled {
 	var watch []ir.Label
 	for _, f := range prog.Funcs {
 		for _, in := range f.Code {
-			if in.Op == ir.OpFence && len(watch) < interp.MaxWatchedFences {
+			if in.Op == ir.OpFence && len(watch) < interp.MaxWatchLabels {
 				watch = append(watch, in.Label)
 			}
 		}

@@ -145,9 +145,9 @@ type Result struct {
 	// StepLimitHit reports that the execution was cut off by the step
 	// budget; such executions are treated as inconclusive, not violating.
 	StepLimitHit bool
-	// TimedOut reports that the execution was cut off by a wall-clock
-	// budget (sched.Options.Timeout) or a cancelled batch context before
-	// completing. Like StepLimitHit, such executions are inconclusive.
+	// TimedOut reports that the execution's context was cancelled before
+	// it completed — in synthesis, by the run's Deadline. Like
+	// StepLimitHit, such executions are inconclusive.
 	TimedOut bool
 	// ExitCode is main's return value (0 if void or cut off).
 	ExitCode int64

@@ -152,11 +152,6 @@ func (b *FuncBuilder) Load(addr Reg, comment string) (Reg, Label) {
 	return r, l
 }
 
-// LoadTo emits dst = [addr] and returns the load's label.
-func (b *FuncBuilder) LoadTo(dst, addr Reg, comment string) Label {
-	return b.emit(Instr{Op: OpLoad, Dst: dst, A: addr, Comment: comment})
-}
-
 // Store emits [addr] = val and returns the store's label.
 func (b *FuncBuilder) Store(addr, val Reg, comment string) Label {
 	return b.emit(Instr{Op: OpStore, A: addr, B: val, Comment: comment})

@@ -42,12 +42,6 @@ var (
 	tVoid = &Type{Kind: KVoid}
 )
 
-// IntType returns the int type.
-func IntType() *Type { return tInt }
-
-// VoidType returns the void type.
-func VoidType() *Type { return tVoid }
-
 // PtrTo returns a pointer type.
 func PtrTo(elem *Type) *Type { return &Type{Kind: KPtr, Elem: elem} }
 

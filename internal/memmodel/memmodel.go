@@ -146,10 +146,6 @@ func (m Model) DefersLoads() bool {
 	return m.Relaxes(ir.ClassLoad, ir.ClassLoad) || m.Relaxes(ir.ClassLoad, ir.ClassStore)
 }
 
-// perAddrBuffers reports whether stores buffer per (thread, address)
-// rather than in a single FIFO — the models that relax store-store order.
-func (m Model) perAddrBuffers() bool { return m.RelaxesStoreStore() }
-
 // FenceCost is the model-specific cost of placing one fence of the given
 // kind, the weight the static hitting-set synthesizer minimizes
 // (musketeer-style: full fences dominate one-way barriers, which dominate

@@ -4,17 +4,16 @@
 // uses to obtain all minimal repair assignments: solve, block the model,
 // repeat until unsatisfiable.
 //
-// Literals follow the DIMACS convention: variable v (v >= 1) appears as the
-// literal +v, its negation as -v.
+// A literal is a signed variable number: variable v (v >= 1) appears as
+// the literal +v, its negation as -v.
 package sat
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
-// Lit is a DIMACS-style literal: +v or -v for variable v >= 1.
+// Lit is a literal: +v or -v for variable v >= 1.
 type Lit int
 
 // Var returns the literal's variable.
@@ -129,9 +128,6 @@ func (s *Solver) grow() {
 	s.watches = append(s.watches, nil, nil)
 	s.litSeen = append(s.litSeen, false, false)
 }
-
-// NumVars returns the number of variables introduced so far.
-func (s *Solver) NumVars() int { return s.numVars }
 
 func (s *Solver) valueLit(l Lit) tribool {
 	v := s.assign[l.Var()]
@@ -578,31 +574,6 @@ func (s *Solver) SolveUnderAssumptions(assumps []Lit) error {
 	}
 }
 
-// SolveWithBlocking enumerates models: after each model found, onModel is
-// invoked; if it returns a non-empty blocking clause, the clause is added
-// and the search continues; if it returns nil, enumeration stops. Returns
-// the number of models visited.
-func (s *Solver) SolveWithBlocking(onModel func(map[int]bool) []Lit) (int, error) {
-	n := 0
-	for {
-		model, err := s.Solve()
-		if errors.Is(err, ErrUnsat) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		n++
-		block := onModel(model)
-		if block == nil {
-			return n, nil
-		}
-		if err := s.AddClause(block...); err != nil {
-			return n, err
-		}
-	}
-}
-
 // EvalClauses checks a full assignment against a clause set (testing aid).
 func EvalClauses(clauses [][]Lit, model map[int]bool) bool {
 	for _, c := range clauses {
@@ -618,9 +589,4 @@ func EvalClauses(clauses [][]Lit, model map[int]bool) bool {
 		}
 	}
 	return true
-}
-
-// SortLits sorts a literal slice for deterministic output.
-func SortLits(ls []Lit) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 }

@@ -209,10 +209,17 @@ func TestIncrementalSolving(t *testing.T) {
 	s := NewSolver()
 	v := newVars(s, 3)
 	s.AddClause(Lit(v[0]), Lit(v[1]), Lit(v[2]))
-	models := 0
-	n, err := s.SolveWithBlocking(func(m map[int]bool) []Lit {
-		models++
-		if models > 20 {
+	n := 0
+	for {
+		m, err := s.Solve()
+		if errors.Is(err, ErrUnsat) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		if n > 20 {
 			t.Fatal("runaway enumeration")
 		}
 		// Block this exact assignment.
@@ -224,10 +231,9 @@ func TestIncrementalSolving(t *testing.T) {
 				block = append(block, Lit(vi))
 			}
 		}
-		return block
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err := s.AddClause(block...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n != 7 {
 		t.Errorf("enumerated %d models of x|y|z, want 7", n)

@@ -248,9 +248,10 @@ func TestRunSafeRecoversPanic(t *testing.T) {
 	}
 }
 
-// TestRunTimeout: an infinite loop with a tiny wall-clock budget stops and
-// reports TimedOut instead of spinning until the step limit.
-func TestRunTimeout(t *testing.T) {
+// TestRunCancelled: an infinite loop whose context times out stops and
+// reports TimedOut instead of spinning until the step limit. It drives
+// worker.run directly, so no batch slot can be skipped before it starts.
+func TestRunCancelled(t *testing.T) {
 	p := ir.NewProgram()
 	b := ir.NewFuncBuilder(p, "main", 0)
 	head := b.NextLabel()
@@ -258,13 +259,15 @@ func TestRunTimeout(t *testing.T) {
 	finish(t, b)
 	mustLink(t, p)
 	opts := DefaultOptions(1)
-	opts.MaxSteps = 1 << 30 // effectively unbounded: the timeout must cut first
-	opts.Timeout = time.Millisecond
-	res := Run(p, memmodel.TSO, nil, opts)
+	opts.MaxSteps = 1 << 30 // effectively unbounded: the cancellation must cut first
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	var w worker
+	res := w.run(ctx, interp.Compile(p), memmodel.TSO, nil, opts, nil)
 	if !res.TimedOut {
 		t.Fatal("execution did not report TimedOut")
 	}
 	if res.StepLimitHit || res.Violation != nil {
-		t.Fatalf("timeout misclassified: stepLimit=%v violation=%v", res.StepLimitHit, res.Violation)
+		t.Fatalf("cancellation misclassified: stepLimit=%v violation=%v", res.StepLimitHit, res.Violation)
 	}
 }

@@ -42,6 +42,10 @@ const (
 	Priority
 )
 
+// changePoints is the Priority strategy's expected number of priority
+// demotions per 1000 steps.
+const changePoints = 30
+
 func (s Strategy) String() string {
 	switch s {
 	case Random:
@@ -59,9 +63,6 @@ type Options struct {
 	Seed int64
 	// Strategy selects the thread-choice discipline (default Random).
 	Strategy Strategy
-	// ChangePoints is the expected number of priority demotions per 1000
-	// steps for the Priority strategy (default 30).
-	ChangePoints int
 	// FlushProb is the probability that a thread with pending buffered
 	// stores flushes one instead of executing (paper §6.5: ~0.1 for TSO,
 	// ~0.5 for PSO).
@@ -114,18 +115,12 @@ type Options struct {
 	// execute, and it expires for good vowLifetime machine steps after it
 	// was sworn, like Starve's. Starve wins when both are set.
 	StarveLoads bool
-	// Timeout bounds the execution's wall-clock time (0 = none). A run
-	// that exceeds it stops at the next budget check and is reported with
-	// TimedOut set — inconclusive, like a step-limit hit. Unlike MaxSteps
-	// this depends on machine speed, so it trades determinism for liveness;
-	// leave it zero when bit-identical results matter.
-	Timeout time.Duration
 	// MaxIters bounds scheduler-loop iterations (0 = none): a safety net.
 	// MaxSteps only counts machine steps, and a deferral spin advances
 	// none; the vows' lifetime ends the delay disciplines' spins, and
-	// MaxIters cuts any other runaway schedule — unlike Timeout,
-	// deterministically: a run that exceeds it stops with StepLimitHit set
-	// (inconclusive), identically on every machine.
+	// MaxIters cuts any other runaway schedule, deterministically: a run
+	// that exceeds it stops with StepLimitHit set (inconclusive),
+	// identically on every machine.
 	MaxIters int
 	// Portfolio tags this execution with its scheduler-portfolio phase
 	// (core.portfolioPhase's cycle index) for trace attribution. Purely
@@ -147,12 +142,12 @@ type Options struct {
 	Wrap func(obs interp.Observer) interp.Observer
 }
 
-// budgetCheckEvery is how many scheduler iterations pass between wall-clock
-// and context checks, so a budget overrun is bounded by ~1024 iterations —
+// budgetCheckEvery is how many scheduler iterations pass between context
+// checks, so a cancellation is noticed within ~1024 iterations —
 // not machine steps: a deferral spin (a pick that neither executes,
 // flushes, nor resolves) advances no step at all, and the load-starving
 // portfolio phases can spin for long stretches. The check also runs once at
-// iteration 0, so an already-expired budget (or context) cuts even
+// iteration 0, so an already-cancelled context cuts even
 // executions far shorter than the check interval.
 const budgetCheckEvery = 1024
 
@@ -275,17 +270,9 @@ func (w *worker) run(ctx context.Context, c *interp.Compiled, model memmodel.Mod
 	if maxSteps <= 0 {
 		maxSteps = 200000
 	}
-	changePoints := opts.ChangePoints
-	if changePoints <= 0 {
-		changePoints = 30
-	}
 	resolveProb := opts.ResolveProb
 	if resolveProb == 0 {
 		resolveProb = opts.FlushProb
-	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
 	}
 	priorities := w.priorities[:0]
 	defer func() { w.priorities = priorities[:0] }()
@@ -323,7 +310,7 @@ func (w *worker) run(ctx context.Context, c *interp.Compiled, model memmodel.Mod
 	iter, spins := 0, 0
 	for ; m.Steps() < maxSteps && iter < maxIters; iter++ {
 		if iter%budgetCheckEvery == 0 {
-			if ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline)) {
+			if ctx.Err() != nil {
 				res := m.Result(false)
 				res.TimedOut = true
 				res.SchedIters, res.SchedSpins = iter, spins

@@ -188,8 +188,10 @@ type Job struct {
 	MemoKey  string     `json:"memo_key,omitempty"`
 	FromMemo bool       `json:"from_memo,omitempty"`
 	Result   *JobResult `json:"result,omitempty"`
-	// NextRetry is when a backoff-delayed requeue fires (diagnostic).
-	NextRetry  time.Time `json:"next_retry,omitempty"`
-	SubmitTime time.Time `json:"submit_time"`
-	UpdateTime time.Time `json:"update_time"`
+	// NextRetry is when a backoff-delayed requeue fires (diagnostic); nil
+	// for a job that never retried. A pointer, because encoding/json's
+	// omitempty never omits a struct value such as the zero time.Time.
+	NextRetry  *time.Time `json:"next_retry,omitempty"`
+	SubmitTime time.Time  `json:"submit_time"`
+	UpdateTime time.Time  `json:"update_time"`
 }

@@ -542,7 +542,8 @@ func (s *Server) failTransient(j *Job, cause error) {
 	// retry in lockstep.
 	backoff += time.Duration(s.rng.Int63n(int64(backoff)/4 + 1))
 	j.State = StateQueued
-	j.NextRetry = time.Now().Add(backoff)
+	next := time.Now().Add(backoff)
+	j.NextRetry = &next
 	_ = s.sp.saveJob(j)
 	if s.draining {
 		return // the record says queued; the next process life retries it

@@ -168,6 +168,57 @@ func TestMemoAfterRestart(t *testing.T) {
 	}
 }
 
+// TestSpoolNextRetry: a job that never retried logs no next_retry at all
+// (not the zero time), and a retried job's next_retry survives a restart.
+func TestSpoolNextRetry(t *testing.T) {
+	dir := t.TempDir()
+	s := newServer(t, dir, func(o *Options) {
+		o.BackoffBase = time.Millisecond
+		o.BackoffMax = 5 * time.Millisecond
+		o.FaultHook = func(j *Job, attempt int) error {
+			if j.Spec.Seed == 8 && attempt == 1 {
+				return errors.New("injected fault")
+			}
+			return nil
+		}
+	})
+	s.Start()
+	var ids []string
+	for _, seed := range []int64{7, 8} {
+		spec := mailboxSpec()
+		spec.Seed = seed
+		job, _, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID)
+	}
+	plain, retried := waitState(t, s, ids[0], StateDone), waitState(t, s, ids[1], StateDone)
+	drain(t, s)
+	if plain.NextRetry != nil || retried.NextRetry == nil || retried.Attempts != 1 {
+		t.Fatalf("next_retry: never-retried %v, retried %v after %d failed attempts",
+			plain.NextRetry, retried.NextRetry, retried.Attempts)
+	}
+	for _, line := range logLines(t, dir) {
+		var j Job
+		if err := json.Unmarshal([]byte(line), &j); err != nil {
+			t.Fatal(err)
+		}
+		if j.ID == ids[0] && strings.Contains(line, "next_retry") {
+			t.Errorf("never-retried job logged next_retry: %s", line)
+		}
+	}
+
+	s = newServer(t, dir, nil)
+	defer drain(t, s)
+	if j, _ := s.JobByID(ids[0]); j.NextRetry != nil {
+		t.Errorf("never-retried job has next_retry %v after restart", j.NextRetry)
+	}
+	if j, _ := s.JobByID(ids[1]); j.NextRetry == nil || !j.NextRetry.Equal(*retried.NextRetry) {
+		t.Errorf("retried job's next_retry after restart = %v, want %v", j.NextRetry, retried.NextRetry)
+	}
+}
+
 // failingLog fails every append part-way: failWrite writes half the
 // record and returns an error (a full disk), otherwise the whole record
 // is written and the fsync fails.

@@ -414,7 +414,7 @@ type Metrics struct {
 	Violations   *Counter
 	Clean        *Counter
 	Inconclusive *Counter
-	Timeouts     *Counter // wall-clock cut executions (subset of Inconclusive)
+	Timeouts     *Counter // executions cut by the run deadline (subset of Inconclusive)
 	Panics       *Counter // recovered interpreter/observer panics
 	Skipped      *Counter // executions never started (deadline/round cut)
 
@@ -460,7 +460,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		Violations:         reg.NewCounter("dfence_violations", "executions that violated the specification"),
 		Clean:              reg.NewCounter("dfence_clean_executions", "executions that satisfied the specification"),
 		Inconclusive:       reg.NewCounter("dfence_inconclusive_executions", "executions cut off before a verdict"),
-		Timeouts:           reg.NewCounter("dfence_exec_timeouts", "executions cut by a wall-clock budget"),
+		Timeouts:           reg.NewCounter("dfence_exec_timeouts", "executions cut by the run deadline"),
 		Panics:             reg.NewCounter("dfence_exec_panics", "recovered interpreter/observer panics"),
 		Skipped:            reg.NewCounter("dfence_skipped_executions", "executions never started (round cut off)"),
 		CacheHits:          reg.NewCounter("dfence_exec_cache_hits", "verdicts answered by the execution caches"),

@@ -119,6 +119,10 @@ fences() { grep -E '"(after|label|kind|func)":' "$1" | tr -d ' '; }
 
 say "restarting dfenced on the drained spool (life 3)"
 start_daemon "$DIR/daemon3.log"
+# A job that never retried has no next retry time, so its records must not
+# carry the zero time in its place.
+! grep -q '"next_retry":"0001-01-01T00:00:00Z"' "$SPOOL/jobs.log" ||
+    fail "the compacted jobs.log records a zero next_retry"
 "$DIR/dfenced" status -addr "$ADDR" "$JOB" >"$DIR/status3.json" || fail "status of $JOB failed in life 3"
 cat "$DIR/status3.json"
 grep -q '"state": *"done"' "$DIR/status3.json" || fail "job $JOB is no longer done after a restart"
