@@ -13,18 +13,15 @@
 #   make bench-check  vet and test the benchmark harness module under
 #                bench/ (its own go.mod, so the root `go test ./...` never
 #                builds it) — catches API breaks the harness depends on
-#   make bench   one pass over every benchmark (smoke; use BENCHTIME for
-#                real measurements, e.g. make bench BENCHTIME=3s)
-#   make bench-json     run the engine benchmarks with -benchmem and write
-#                       them as JSON (BENCH_JSON, default BENCH_pr9.json)
-#                       via cmd/benchjson — no external tools needed
-#   make bench-compare  benchstat OLD=a.txt NEW=b.txt, when benchstat is
-#                       installed (it is not vendored; skipped otherwise)
-#   make bench-gate     rerun the engine benchmarks and fail if the
-#                       acceptance benchmarks (GATE_BENCH) regressed more
-#                       than GATE_THRESHOLD x against the committed
-#                       BENCH_JSON baseline — stdlib-only (cmd/benchgate),
-#                       gating in CI
+#   make bench   one pass over each root go test benchmark, the sources
+#                of EXPERIMENTS.md tables (smoke; use BENCHTIME for real
+#                measurements, e.g. make bench BENCHTIME=3s)
+#   make bench-gate     the benchmark regression gate, gating in CI: run
+#                       bench/'s traced table3 workload three times on
+#                       this checkout and on BASE (a git ref, default
+#                       HEAD~1) and fail if core.execs_per_s or
+#                       sched.ns_per_iter regressed more than 1.6x in the
+#                       median (scripts/bench_gate.sh)
 #   make journal-smoke  record a run journal and replay it through
 #                       `dfence explain` — fails if the journal schema
 #                       drifted (the strict reader rejects it) or the
@@ -54,32 +51,15 @@
 
 GO ?= go
 BENCHTIME ?= 1x
-BENCH_JSON ?= BENCH_pr9.json
+BASE ?= HEAD~1
 JOURNAL ?= /tmp/dfence_journal_smoke.jsonl
 TRACE_JSON ?= /tmp/dfence_trace_smoke.trace.json
 SMOKE_DIR ?= /tmp/dfence_serve_smoke
 FUZZ_SEED ?= 1
 FUZZ_N ?= 200
 FUZZ_OUT ?= /tmp/dfence_fuzz_smoke
-# The engine benchmarks: the acceptance metrics (execution throughput,
-# allocations, synthesis with the caches hit, the persistent solver, the
-# spec automaton — one path each, no toggled twins) — what bench-json
-# snapshots and bench-gate regresses against.
-ENGINE_BENCH = BenchmarkSynthesizeWorkers|BenchmarkExecutionEngine|BenchmarkSynthesizeCache|BenchmarkIncrementalSAT|BenchmarkSpecAutomaton
-# The gating subset and tolerance for bench-gate: only the acceptance
-# benchmarks' wall-clock metrics gate, and only on a step-function
-# regression (CI machines are too noisy for tight thresholds).
-GATE_BENCH ?= BenchmarkExecutionEngine|BenchmarkSynthesizeWorkers
-# 1.6x: run-to-run variance of the acceptance benchmark on shared
-# single-CPU runners was measured at up to ~1.5x within one session; the
-# gate is for step-function regressions, not percent drift.
-GATE_THRESHOLD ?= 1.6
-GATE_NEW ?= /tmp/dfence_bench_gate.json
-GATE_RAW ?= /tmp/dfence_bench_gate.txt
-OLD ?= bench_old.txt
-NEW ?= bench_new.txt
 
-.PHONY: build test race vet lint bench-check bench bench-json bench-compare bench-gate journal-smoke serve-smoke trace-smoke fuzz-smoke ci
+.PHONY: build test race vet lint bench-check bench bench-gate journal-smoke serve-smoke trace-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -111,25 +91,11 @@ bench-check:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) .
 
-bench-json:
-	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchmem -benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)
-
-bench-compare:
-	@command -v benchstat >/dev/null 2>&1 && benchstat $(OLD) $(NEW) || \
-		echo "benchstat not installed; skipping (go install golang.org/x/perf/cmd/benchstat@latest)"
-
-# Benchmark regression gate: rerun the engine benchmarks, convert to
-# JSON, and compare the acceptance benchmarks (GATE_BENCH) against the
-# committed baseline (BENCH_JSON) with cmd/benchgate. Fails on a
-# >GATE_THRESHOLD x wall-clock regression. The raw `go test -bench`
-# output is kept at GATE_RAW so CI can also feed it to benchstat for the
-# human-readable artifact. Stdlib-only — no benchstat required to gate.
+# Benchmark regression gate: this checkout against the git ref BASE on
+# bench/'s table3 layers, three traced runs a side (~2 min). The runs'
+# JSON stay in .bench_build/gate/. See scripts/bench_gate.sh.
 bench-gate:
-	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchmem -benchtime $(BENCHTIME) . \
-		| tee $(GATE_RAW) | $(GO) run ./cmd/benchjson > $(GATE_NEW)
-	$(GO) run ./cmd/benchgate -old $(BENCH_JSON) -new $(GATE_NEW) \
-		-bench '$(GATE_BENCH)' -threshold $(GATE_THRESHOLD)
+	sh scripts/bench_gate.sh $(BASE)
 
 # Journal schema smoke: record a real run's journal, then replay it
 # through the strict reader and the witness explainer. ReadJournal

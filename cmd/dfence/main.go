@@ -368,7 +368,7 @@ func main() {
 	// The full witness explanation: on request, and always embedded in the
 	// failure output of an unfixable program (the witness ran against the
 	// program before the first fence round, i.e. the loaded program).
-	if res.Witness != nil && (*explainW || res.Unfixable) {
+	if res.Witness != nil && (*explainW || res.Outcome == core.OutcomeUnfixable) {
 		opts := telemetry.ExplainOptions{Desc: res.WitnessViolation}
 		if v := wc.witness(); v != nil {
 			opts.Round, opts.Seed, opts.Disjunction = v.Round, v.Seed, v.Disjunction
@@ -381,7 +381,7 @@ func main() {
 		}
 	}
 	finishTelemetry()
-	if res.Unfixable {
+	if res.Outcome == core.OutcomeUnfixable {
 		exit(3)
 	}
 	if res.Interrupted {

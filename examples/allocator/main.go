@@ -52,7 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %v: %d fence(s) after %d executions (converged=%v)\n",
-			crit, len(res.Fences), res.TotalExecutions, res.Converged)
+			crit, len(res.Fences), res.TotalExecutions, res.Outcome == core.OutcomeConverged)
 		for _, f := range res.Fences {
 			fmt.Printf("    %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 		}

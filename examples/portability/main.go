@@ -42,9 +42,9 @@ func main() {
 				log.Fatal(err)
 			}
 			status := "ok"
-			if res.Unfixable {
+			if res.Outcome == core.OutcomeUnfixable {
 				status = "cannot satisfy"
-			} else if !res.Converged {
+			} else if res.Outcome != core.OutcomeConverged {
 				status = "did not converge"
 			}
 			fmt.Printf("  %-3v: %d fence(s) [%s]\n", m, len(res.Fences), status)

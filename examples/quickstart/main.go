@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsynthesis: %d round(s), %d executions, converged=%v\n",
-		len(res.Rounds), res.TotalExecutions, res.Converged)
+		len(res.Rounds), res.TotalExecutions, res.Outcome == core.OutcomeConverged)
 	for _, f := range res.Fences {
 		fmt.Printf("inferred: %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 	}

@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("synthesis converged=%v with %d fence(s):\n", res.Converged, len(res.Fences))
+	fmt.Printf("synthesis converged=%v with %d fence(s):\n", res.Outcome == core.OutcomeConverged, len(res.Fences))
 	for _, f := range res.Fences {
 		fmt.Printf("  %v %s\n", f.Kind, core.DescribeFence(res.Program, f))
 	}

@@ -76,7 +76,7 @@ func TestEnforceWithCASRepairsSBOnTSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Outcome != OutcomeConverged {
 		t.Fatalf("CAS enforcement did not converge: %s", res.Summary())
 	}
 	if len(res.Fences) == 0 {
@@ -126,7 +126,7 @@ func TestFenceAndCASEnforcementAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rf.Converged {
+	if rf.Outcome != OutcomeConverged {
 		t.Fatalf("fence mode did not converge: %s", rf.Summary())
 	}
 	// Same predicates, hence same After labels, in both modes.
@@ -137,7 +137,7 @@ func TestFenceAndCASEnforcementAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rc.Converged {
+	if rc.Outcome != OutcomeConverged {
 		t.Fatalf("CAS mode did not converge: %s", rc.Summary())
 	}
 	if len(rf.Fences) != len(rc.Fences) {

@@ -219,8 +219,7 @@ func (c *Config) fill() {
 	}
 }
 
-// Outcome classifies how a synthesis ended — the unambiguous replacement
-// for reading the Converged/Unfixable boolean pair.
+// Outcome classifies how a synthesis ended.
 type Outcome uint8
 
 const (
@@ -333,20 +332,16 @@ type Result struct {
 	Fences []synth.InsertedFence
 	// Rounds holds per-round statistics.
 	Rounds []Round
-	// Outcome classifies the ending: OutcomeConverged, OutcomeUnfixable,
-	// OutcomeInconclusive, or OutcomeAborted. Prefer it over the
-	// Converged/Unfixable pair, which cannot express the latter two.
-	Outcome Outcome
-	// Converged reports that the final round saw no violations and met
-	// the MinConclusive coverage floor (Outcome == OutcomeConverged).
-	Converged bool
-	// Unfixable reports that synthesis did not converge and at least one
+	// Outcome classifies the ending. OutcomeConverged: the final round
+	// saw no violations and met the MinConclusive coverage floor.
+	// OutcomeUnfixable: synthesis did not converge and at least one
 	// violating execution had no candidate repairs — fences cannot fix the
 	// program under this specification (the paper's Table 3 "-" entries).
-	Unfixable bool
+	// OutcomeInconclusive or OutcomeAborted otherwise.
+	Outcome Outcome
 	// EmptyRepairs counts violating executions whose repair disjunction
 	// was empty across the whole synthesis (they may still be transient:
-	// if synthesis converges afterwards, Unfixable stays false).
+	// if synthesis converges afterwards, the outcome is not unfixable).
 	EmptyRepairs int
 	// UnfixableExample describes one empty-repair violation, if any.
 	UnfixableExample string
@@ -417,11 +412,11 @@ type Result struct {
 func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rounds=%d executions=%d converged=%v outcome=%v",
-		len(r.Rounds), r.TotalExecutions, r.Converged, r.Outcome)
+		len(r.Rounds), r.TotalExecutions, r.Outcome == OutcomeConverged, r.Outcome)
 	if r.TotalInconclusive > 0 {
 		fmt.Fprintf(&b, " inconclusive=%d", r.TotalInconclusive)
 	}
-	if r.Unfixable {
+	if r.Outcome == OutcomeUnfixable {
 		fmt.Fprintf(&b, " UNFIXABLE (%s)", r.UnfixableExample)
 	}
 	for i, rd := range r.Rounds {
@@ -515,7 +510,6 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 			// sequentially consistent under the model, so there is nothing
 			// for the dynamic loop to find. Converge in zero rounds.
 			result.StaticallyRobust = true
-			result.Converged = true
 			result.Outcome = OutcomeConverged
 			emitConverged(&cfg, result)
 			return result, nil
@@ -531,7 +525,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
 		defer cancel()
 	}
-	aborted := false
+	aborted, converged := false, false
 	jcs := newJudgeCaches(&cfg)
 
 	// Resume, if requested, is applied after the static robustness check
@@ -751,7 +745,7 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		if stats.Violations == 0 {
 			endRound(&stats, round)
 			if stats.ConclusiveFraction() >= cfg.MinConclusive {
-				result.Converged = true
+				converged = true
 				break
 			}
 			// Vacuous round: no violations, but too few executions produced
@@ -849,19 +843,18 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		}
 	}
 
-	result.Unfixable = !result.Converged && result.EmptyRepairs > 0
 	switch {
 	case aborted:
 		result.Outcome = OutcomeAborted
-	case result.Converged:
+	case converged:
 		result.Outcome = OutcomeConverged
-	case result.Unfixable:
+	case result.EmptyRepairs > 0:
 		result.Outcome = OutcomeUnfixable
 	default:
 		result.Outcome = OutcomeInconclusive
 	}
 	result.SynthesizedFences = len(result.Fences)
-	if cfg.ValidateFences && !cfg.EnforceWithCAS && result.Converged && len(result.Fences) > 0 {
+	if cfg.ValidateFences && !cfg.EnforceWithCAS && converged && len(result.Fences) > 0 {
 		validateSpan := cfg.Tracer.Begin(0, trace.SpanValidate, 0)
 		if err := validateFences(prog, &cfg, result, jcs); err != nil {
 			return nil, err

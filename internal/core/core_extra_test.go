@@ -120,7 +120,7 @@ func TestNoMinimizeEnforcesMore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Converged {
+		if res.Outcome != OutcomeConverged {
 			t.Fatalf("noMin=%v did not converge", noMin)
 		}
 		return res.SynthesizedFences

@@ -122,10 +122,10 @@ func TestSynthesizeInsertsStoreStoreFencePSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Outcome != OutcomeConverged {
 		t.Fatalf("did not converge: %s", res.Summary())
 	}
-	if res.Unfixable {
+	if res.Outcome == OutcomeUnfixable {
 		t.Fatalf("marked unfixable: %s", res.Summary())
 	}
 	if len(res.Fences) != 1 {
@@ -165,9 +165,9 @@ func TestSynthesizeTSONeedsNoFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || len(res.Fences) != 0 {
-		t.Fatalf("TSO run: converged=%v fences=%d, want converged with 0 fences\n%s",
-			res.Converged, len(res.Fences), res.Summary())
+	if res.Outcome != OutcomeConverged || len(res.Fences) != 0 {
+		t.Fatalf("TSO run: outcome=%v fences=%d, want converged with 0 fences\n%s",
+			res.Outcome, len(res.Fences), res.Summary())
 	}
 }
 
@@ -220,7 +220,7 @@ func TestSynthesizeUnfixable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Unfixable {
+	if res.Outcome != OutcomeUnfixable {
 		t.Fatalf("logic bug not flagged unfixable: %s", res.Summary())
 	}
 	if len(res.Fences) != 0 {
@@ -250,7 +250,7 @@ func TestSynthesizeMemorySafetyOnlyIgnoresHistories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || len(res.Fences) != 0 {
+	if res.Outcome != OutcomeConverged || len(res.Fences) != 0 {
 		t.Fatalf("memory-safety run inserted fences: %s", res.Summary())
 	}
 }

@@ -70,11 +70,11 @@ func TestSynthesizeWorkersDeterministic(t *testing.T) {
 	if serial.TotalExecutions != parallel.TotalExecutions {
 		t.Errorf("total executions diverge: %d vs %d", serial.TotalExecutions, parallel.TotalExecutions)
 	}
-	if serial.Converged != parallel.Converged || serial.Redundant != parallel.Redundant ||
+	if serial.Outcome != parallel.Outcome || serial.Redundant != parallel.Redundant ||
 		serial.SynthesizedFences != parallel.SynthesizedFences {
-		t.Errorf("outcome diverges: workers=1 conv=%v red=%d synth=%d, workers=8 conv=%v red=%d synth=%d",
-			serial.Converged, serial.Redundant, serial.SynthesizedFences,
-			parallel.Converged, parallel.Redundant, parallel.SynthesizedFences)
+		t.Errorf("outcome diverges: workers=1 outcome=%v red=%d synth=%d, workers=8 outcome=%v red=%d synth=%d",
+			serial.Outcome, serial.Redundant, serial.SynthesizedFences,
+			parallel.Outcome, parallel.Redundant, parallel.SynthesizedFences)
 	}
 	switch {
 	case (serial.Witness == nil) != (parallel.Witness == nil):

@@ -61,7 +61,7 @@ int main() {
 	if !res.StaticallyRobust {
 		t.Fatalf("fenced program not reported statically robust: %s", res.Summary())
 	}
-	if !res.Converged || res.Outcome != OutcomeConverged {
+	if res.Outcome != OutcomeConverged {
 		t.Fatalf("fast path did not converge: %s", res.Summary())
 	}
 	if res.TotalExecutions != 0 || len(res.Rounds) != 0 {
@@ -169,7 +169,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Outcome != OutcomeConverged {
 		t.Fatalf("pruned synthesis did not converge: %s", res.Summary())
 	}
 	if res.StaticallyRobust {
@@ -197,7 +197,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Converged {
+	if res2.Outcome != OutcomeConverged {
 		t.Fatalf("baseline synthesis did not converge: %s", res2.Summary())
 	}
 	if res2.PrunedPredicates != 0 || res2.StaticCandidates != 0 || res2.StaticallyRobust {

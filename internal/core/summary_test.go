@@ -30,7 +30,6 @@ func TestSummarySnapshot(t *testing.T) {
 			},
 		},
 		Outcome:           OutcomeConverged,
-		Converged:         true,
 		TotalExecutions:   1990,
 		TotalInconclusive: 22,
 		Fences:            []synth.InsertedFence{{After: 2, Label: 90, Kind: ir.FenceStoreStore, Func: "put"}},
@@ -65,8 +64,8 @@ func TestSummarySnapshot(t *testing.T) {
 // Result carries its program.
 func TestSummaryUnfixable(t *testing.T) {
 	res := &Result{
-		Rounds:  []Round{{Executions: 100, Violations: 100, Wall: time.Millisecond, ExecsPerSec: 100000}},
-		Outcome: OutcomeUnfixable, Unfixable: true,
+		Rounds:           []Round{{Executions: 100, Violations: 100, Wall: time.Millisecond, ExecsPerSec: 100000}},
+		Outcome:          OutcomeUnfixable,
 		UnfixableExample: "history not accepted: t1:put(1)",
 		TotalExecutions:  100,
 		ExecErrors:       []*sched.ExecError{{Index: 7, Seed: 8, Panic: "boom"}},

@@ -48,7 +48,7 @@ func TestSynthesizeEmitsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Outcome != OutcomeConverged {
 		t.Fatalf("did not converge: %s", res.Summary())
 	}
 
@@ -180,7 +180,7 @@ func TestJournalExplainsWitness(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || len(res.Fences) == 0 {
+	if res.Outcome != OutcomeConverged || len(res.Fences) == 0 {
 		t.Fatalf("unexpected run: %s", res.Summary())
 	}
 

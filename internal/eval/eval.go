@@ -67,8 +67,6 @@ func (o *Options) fill() {
 // under one (criterion, model) pair.
 type Cell struct {
 	Fences      []core.FenceDesc
-	Converged   bool
-	Unfixable   bool
 	Outcome     core.Outcome
 	Synthesized int // before validation
 	Executions  int
@@ -86,13 +84,12 @@ type Cell struct {
 // too many executions cut off for a clean round to count), "!" for a run
 // aborted by the deadline.
 func (c Cell) String() string {
-	if c.Unfixable {
+	switch c.Outcome {
+	case core.OutcomeUnfixable:
 		return "-"
-	}
-	if !c.Converged {
-		if c.Outcome == core.OutcomeAborted {
-			return "!"
-		}
+	case core.OutcomeAborted:
+		return "!"
+	case core.OutcomeInconclusive:
 		return "?"
 	}
 	if len(c.Fences) == 0 {
@@ -170,8 +167,6 @@ func SynthesizeCell(b *progs.Benchmark, crit spec.Criterion, model memmodel.Mode
 
 func cellFrom(res *core.Result) Cell {
 	c := Cell{
-		Converged:    res.Converged,
-		Unfixable:    res.Unfixable,
 		Outcome:      res.Outcome,
 		Synthesized:  res.SynthesizedFences,
 		Executions:   res.TotalExecutions,
@@ -217,7 +212,7 @@ func Table3(benchmarks []*progs.Benchmark, o Options) ([]Row, error) {
 			row.Cells[crit] = map[memmodel.Model]Cell{}
 			for _, m := range models {
 				if b.SkipSeqCheck && crit != spec.MemorySafety {
-					row.Cells[crit][m] = Cell{Unfixable: true, Outcome: core.OutcomeUnfixable, Coverage: 1}
+					row.Cells[crit][m] = Cell{Outcome: core.OutcomeUnfixable, Coverage: 1}
 					continue
 				}
 				cell, err := SynthesizeCell(b, crit, m, o)

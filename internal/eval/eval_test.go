@@ -26,7 +26,7 @@ func TestSynthesizeCellChaseLevTSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cell.Converged {
+	if cell.Outcome != core.OutcomeConverged {
 		t.Fatal("did not converge")
 	}
 	if len(cell.Fences) != 1 {
@@ -65,17 +65,17 @@ func TestSynthesizeCellChaseLevPSO(t *testing.T) {
 }
 
 func TestCellStringForms(t *testing.T) {
-	if got := (Cell{Converged: true}).String(); got != "0" {
+	if got := (Cell{Outcome: core.OutcomeConverged}).String(); got != "0" {
 		t.Errorf("empty converged cell = %q, want 0", got)
 	}
-	if got := (Cell{Unfixable: true}).String(); got != "-" {
+	if got := (Cell{Outcome: core.OutcomeUnfixable}).String(); got != "-" {
 		t.Errorf("unfixable cell = %q, want -", got)
 	}
-	c := Cell{Converged: true, Fences: []core.FenceDesc{{Func: "put", LineBefore: 4, LineAfter: 5}}}
+	c := Cell{Outcome: core.OutcomeConverged, Fences: []core.FenceDesc{{Func: "put", LineBefore: 4, LineAfter: 5}}}
 	if got := c.String(); got != "(put, 4:5)" {
 		t.Errorf("cell = %q", got)
 	}
-	end := Cell{Converged: true, Fences: []core.FenceDesc{{Func: "put", LineBefore: 5}}}
+	end := Cell{Outcome: core.OutcomeConverged, Fences: []core.FenceDesc{{Func: "put", LineBefore: 5}}}
 	if got := end.String(); got != "(put, 5:-)" {
 		t.Errorf("method-end cell = %q", got)
 	}
@@ -145,10 +145,10 @@ func TestFig4ShapeHolds(t *testing.T) {
 			}
 		}
 	}
-	if !multi500.Converged {
+	if multi500.Outcome != core.OutcomeConverged {
 		t.Error("multi-round K=500 did not converge")
 	}
-	if one500.Converged {
+	if one500.Outcome == core.OutcomeConverged {
 		t.Error("one-round mode claimed convergence (it never verifies)")
 	}
 	if multi500.Fences < one500.Fences {

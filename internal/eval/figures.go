@@ -20,7 +20,6 @@ type Fig4Point struct {
 	Fences        int
 	Rounds        int
 	Executions    int
-	Converged     bool
 	Outcome       core.Outcome
 	Inconclusive  int
 }
@@ -64,7 +63,6 @@ func Fig4(ks []int, o Options) ([]Fig4Point, error) {
 				Fences:        res.SynthesizedFences,
 				Rounds:        len(res.Rounds),
 				Executions:    res.TotalExecutions,
-				Converged:     res.Converged,
 				Outcome:       res.Outcome,
 				Inconclusive:  res.TotalInconclusive,
 			})

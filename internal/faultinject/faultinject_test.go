@@ -174,7 +174,7 @@ func TestPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !baseline.Converged {
+	if baseline.Outcome != core.OutcomeConverged {
 		t.Fatalf("baseline did not converge: %s", baseline.Summary())
 	}
 	plan := faultinject.NewPlan(0).At(round, index, faultinject.Panic)
@@ -201,7 +201,7 @@ func TestPanicContained(t *testing.T) {
 			t.Errorf("workers=%d: round 0 counted %d errors, %d inconclusive, want 1/1",
 				workers, res.Rounds[0].Errors, res.Rounds[0].Inconclusive)
 		}
-		if !res.Converged || res.Outcome != core.OutcomeConverged {
+		if res.Outcome != core.OutcomeConverged {
 			t.Fatalf("workers=%d: faulted run did not converge: %s", workers, res.Summary())
 		}
 		if len(res.Fences) != len(baseline.Fences) {
@@ -227,9 +227,8 @@ func TestExhaustedRoundsAreInconclusive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Converged || res.Outcome != core.OutcomeInconclusive {
-		t.Fatalf("all-exhausted run reported converged=%v outcome=%v: %s",
-			res.Converged, res.Outcome, res.Summary())
+	if res.Outcome != core.OutcomeInconclusive {
+		t.Fatalf("all-exhausted run reported outcome=%v: %s", res.Outcome, res.Summary())
 	}
 	if len(res.Rounds) != cfg.MaxRounds {
 		t.Errorf("ran %d rounds, want all %d (vacuous rounds must not terminate the loop)",
@@ -256,9 +255,8 @@ func TestDeadlineAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != core.OutcomeAborted || res.Converged {
-		t.Fatalf("expired deadline gave converged=%v outcome=%v: %s",
-			res.Converged, res.Outcome, res.Summary())
+	if res.Outcome != core.OutcomeAborted {
+		t.Fatalf("expired deadline gave outcome=%v: %s", res.Outcome, res.Summary())
 	}
 	if len(res.Rounds) != 1 {
 		t.Fatalf("kept %d rounds, want the 1 partial round", len(res.Rounds))
@@ -296,9 +294,9 @@ func TestSlowExecutionCutByDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != core.OutcomeAborted || res.Converged || len(res.Rounds) != 1 {
-		t.Fatalf("deadline-cut run gave outcome=%v converged=%v after %d rounds, want aborted after 1: %s",
-			res.Outcome, res.Converged, len(res.Rounds), res.Summary())
+	if res.Outcome != core.OutcomeAborted || len(res.Rounds) != 1 {
+		t.Fatalf("deadline-cut run gave outcome=%v after %d rounds, want aborted after 1: %s",
+			res.Outcome, len(res.Rounds), res.Summary())
 	}
 	r := res.Rounds[0]
 	if r.Inconclusive != 1 || r.Errors != 0 || r.Skipped != 0 || r.Executions != cfg.ExecsPerRound {

@@ -83,7 +83,7 @@ func TestPointerClientSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.Outcome != core.OutcomeConverged {
 		t.Fatalf("did not converge: %s", res.Summary())
 	}
 	if len(res.Fences) == 0 {

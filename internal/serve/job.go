@@ -164,7 +164,7 @@ func resultDigest(res *core.Result) *JobResult {
 		Redundant:         res.Redundant,
 		Rounds:            len(res.Rounds),
 		TotalExecutions:   res.TotalExecutions,
-		Unfixable:         res.Unfixable,
+		Unfixable:         res.Outcome == core.OutcomeUnfixable,
 		StaticallyRobust:  res.StaticallyRobust,
 		Summary:           res.Summary(),
 	}
