@@ -69,10 +69,6 @@ type Config struct {
 	// order, not completion order. Default runtime.NumCPU(); 1 forces the
 	// serial path.
 	Workers int
-	// MergeFences enables the redundant-fence merge pass after synthesis
-	// converges (§5.2). Default off; no front-end sets it (eval's Table 3
-	// cells rely on ValidateFences instead).
-	MergeFences bool
 	// ValidateFences greedily re-tests each synthesized fence after
 	// convergence: a fence whose removal leaves ValidateExecs executions
 	// violation-free is dropped as redundant. This separates needed from
@@ -103,8 +99,8 @@ type Config struct {
 	// Deadline bounds the whole repair loop's wall-clock time (0 = none).
 	// When it expires, the in-flight round is cut short, the rounds
 	// completed so far are kept, and the Result reports Outcome ==
-	// OutcomeAborted. The post-convergence validation and merge passes are
-	// not covered; bound those with ValidateExecs.
+	// OutcomeAborted. The post-convergence validation pass is not
+	// covered; bound it with ValidateExecs.
 	Deadline time.Duration
 	// MinConclusive is the floor on the fraction of a round's execution
 	// budget that must be conclusive (not step-limited, timed out,
@@ -360,14 +356,11 @@ type Result struct {
 	// hit the MaxModels budget: the enforced repairs were
 	// the best found within budget, not a provably minimal choice.
 	SolverTruncated bool
-	// MergedAway is the number of redundant fences removed by the merge
-	// pass (0 if disabled).
-	MergedAway int
 	// Redundant is the number of synthesized fences dropped by the
 	// validation pass (0 if disabled). Fences then holds only the
 	// validated, necessary fences.
 	Redundant int
-	// SynthesizedFences is the raw count before validation/merging.
+	// SynthesizedFences is the raw count before validation.
 	SynthesizedFences int
 	// StaticallyRobust reports that the pre-round static analysis proved
 	// the input program's delay set empty: every execution is sequentially
@@ -450,9 +443,6 @@ func (r *Result) Summary() string {
 		if r.Program != nil {
 			fmt.Fprintf(&b, " %s", DescribeFence(r.Program, f))
 		}
-	}
-	if r.MergedAway > 0 {
-		fmt.Fprintf(&b, "\nmerged away: %d", r.MergedAway)
 	}
 	if r.CacheHits+r.CacheMisses > 0 {
 		fmt.Fprintf(&b, "\nexec cache: %d hits, %d misses (%.0f%% hit rate)",
@@ -861,18 +851,6 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		}
 		validateSpan.End()
 	}
-	if cfg.MergeFences {
-		minimizeSpan := cfg.Tracer.Begin(0, trace.SpanMinimize, 0)
-		merged, err := synth.MergeFences(result.Program)
-		if err != nil {
-			return nil, err
-		}
-		result.MergedAway = merged
-		if merged > 0 {
-			telemetry.Emit(cfg.sink, telemetry.FenceChange{Action: "merge", Count: merged})
-		}
-		minimizeSpan.End()
-	}
 	tallyJudgeCaches(jcs, result)
 	emitConverged(&cfg, result)
 	return result, nil
@@ -887,7 +865,6 @@ func emitConverged(cfg *Config, result *Result) {
 		TotalExecutions:  result.TotalExecutions,
 		Fences:           len(result.Fences),
 		Redundant:        result.Redundant,
-		MergedAway:       result.MergedAway,
 		CacheHits:        result.CacheHits,
 		CacheMisses:      result.CacheMisses,
 		StaticallyRobust: result.StaticallyRobust,
@@ -995,7 +972,7 @@ func branchesTo(f *ir.Func, l ir.Label) bool {
 // scheduler-effectiveness benchmarks.
 func CheckOnly(prog *ir.Program, cfg Config, n int) int {
 	cfg.fill()
-	return violationBatch(prog, &cfg, newJudgeCaches(&cfg), n, func(i int) sched.Options {
+	out := watchedBatch(interp.Compile(prog), &cfg, newJudgeCaches(&cfg), n, func(i int) sched.Options {
 		return sched.Options{
 			Seed:      cfg.Seed + int64(i),
 			FlushProb: cfg.FlushProb,
@@ -1004,5 +981,12 @@ func CheckOnly(prog *ir.Program, cfg Config, n int) int {
 			PORWindow: 64,
 			Tracer:    cfg.Tracer,
 		}
-	})
+	}, false)
+	violations := 0
+	for _, o := range out {
+		if o.violated {
+			violations++
+		}
+	}
+	return violations
 }

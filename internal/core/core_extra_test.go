@@ -66,45 +66,6 @@ func TestRoundStatsRecorded(t *testing.T) {
 	}
 }
 
-func TestMergeFencesConfigApplied(t *testing.T) {
-	// Build a program with two programmer fences back to back plus the
-	// SPSC bug; after synthesis with MergeFences the redundant one is gone.
-	p := ir.NewProgram()
-	if err := p.AddGlobal(&ir.Global{Name: "x", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	b := ir.NewFuncBuilder(p, "main", 0)
-	ga := b.GlobalAddr("x")
-	v := b.Const(1)
-	b.Store(ga, v, "x")
-	b.Fence(ir.FenceFull)
-	b.Fence(ir.FenceFull) // redundant
-	b.Ret()
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Link(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Synthesize(p, Config{
-		Model:         memmodel.PSO,
-		Criterion:     spec.MemorySafety,
-		ExecsPerRound: 50,
-		MaxRounds:     2,
-		Seed:          1,
-		MergeFences:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MergedAway != 1 {
-		t.Errorf("MergedAway = %d, want 1", res.MergedAway)
-	}
-	if got := len(res.Program.Fences()); got != 1 {
-		t.Errorf("fences left = %d, want 1", got)
-	}
-}
-
 func TestNoMinimizeEnforcesMore(t *testing.T) {
 	run := func(noMin bool) int {
 		p, _, _ := buildSPSC(t)

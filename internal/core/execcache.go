@@ -9,24 +9,24 @@
 //     validation pass — the sequentialization search runs once per
 //     distinct history instead of once per execution.
 //
-//  2. The fence-touch outcome transfer: the validation and redundancy
-//     passes greedily drop one fence at a time and re-run the same seed
-//     block against programs differing only in which fences are present.
+//  2. The fence-touch outcome transfer: validation and the redundancy
+//     scan are one greedy loop (dropRedundant) that drops one fence at a
+//     time from the fenced program and re-runs the same seed block
+//     against candidates differing only in which fences are present.
 //     An execution that never reaches a fence is bit-identical with or
 //     without it (same instruction sequence, same RNG draws, same
 //     history), so its verdict transfers to every candidate program whose
 //     dropped fences it never touched. Trials are compiled with
 //     interp.CompileWatched, which records per seed the bitmask of fences
 //     the execution reached; a trial then runs only the seeds whose
-//     outcome the candidate could actually change. A fence that cannot be
-//     watched — past the interp.MaxWatchLabels capacity of the mask, or
-//     lost to an insertion-site collision — counts as touched by every
-//     seed, so its trial runs the whole seed block. The validation pass
-//     arms the baseline opportunistically: a failed drop early-stops
-//     (no baseline cost), while a successful drop ran every must-run seed
-//     clean, and those watched results become the baseline for every
-//     later trial. The redundancy scan seeds the baseline from its
-//     all-fences cleanliness check.
+//     outcome the candidate could actually change. A fence past the
+//     interp.MaxWatchLabels capacity of the mask cannot be watched and
+//     counts as touched by every seed, so its trial runs the whole seed
+//     block. The validation pass arms the baseline opportunistically: a
+//     failed drop early-stops (no baseline cost), while a successful drop
+//     ran every must-run seed clean, and those watched results become the
+//     baseline for every later trial. The redundancy scan seeds the
+//     baseline from its all-fences cleanliness check.
 //
 // Both caches are exact — they skip recomputation, never approximate it —
 // so synthesis results are those of running every seed of every trial;
@@ -188,7 +188,7 @@ func appendHistoryKey(dst []byte, evs []interp.Event) []byte {
 
 // --- fence-touch outcome transfer ---
 
-// trialOut records one watched trial execution: whether it ran (an
+// trialOut records one watched execution: whether it ran (an
 // early-stopped batch leaves unstarted slots), whether it panicked or
 // violated, the watch-order bitmask of fences it reached, and the memo
 // lookup judging it made on which worker.
@@ -201,18 +201,18 @@ type trialOut struct {
 	worker   int
 }
 
-// watchedBatch runs the executions seeds[k] (k in order) of the watched
-// compile c and reports, per seed, the violation verdict and the touched
-// bitmask. With stopEarly the first violation stops the rest — callers
-// use the full per-seed data only when no violation was found, in which
-// case every slot completed. Executions, panics, violations and memo
-// lookups are counted for the slots the serial run judges, up to the
-// first violation: slots past it run only when other workers had already
+// watchedBatch runs n executions of the watched compile c, execution k
+// with optsFor(k), and reports per execution the violation verdict and
+// the touched bitmask. With stopEarly the first violation stops the rest
+// — callers use the full per-execution data only when no violation was
+// found, in which case every slot completed. Executions, panics,
+// violations (each with its worker-lane trace instant) and memo lookups
+// are counted for the slots the serial run judges, up to the first
+// violation: slots past it run only when other workers had already
 // started them, so counting them would make the totals depend on the
 // worker count.
-func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, seeds []int, optsFor func(i int) sched.Options, stopEarly bool) []trialOut {
-	out := sched.RunBatchCompiled(context.Background(), c, cfg.Model, len(seeds), cfg.Workers, nil,
-		func(k int) sched.Options { return optsFor(seeds[k]) },
+func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, n int, optsFor func(k int) sched.Options, stopEarly bool) []trialOut {
+	out := sched.RunBatchCompiled(context.Background(), c, cfg.Model, n, cfg.Workers, nil, optsFor,
 		func(k, worker int, _ interp.Observer, res *interp.Result, err *sched.ExecError) (trialOut, bool) {
 			if err != nil {
 				// The touched mask of a panicked execution is unknowable, so
@@ -233,6 +233,7 @@ func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, seeds []int
 		countLookup(cfg, jcs, o.worker, o.lookup)
 		if o.violated {
 			cfg.mv.Violations.Inc(o.worker)
+			cfg.Tracer.Instant(o.worker+1, trace.InstantViolation, 0, 0)
 			if stopEarly {
 				break
 			}
@@ -298,60 +299,81 @@ func (fc *fenceTrialCache) mustRun(bit int) []int {
 	return seeds
 }
 
-// everySeed returns the whole seed block.
-func (fc *fenceTrialCache) everySeed() []int {
-	seeds := make([]int, len(fc.base))
-	for k := range seeds {
-		seeds[k] = k
+// survivors splits fences for a candidate program: gone lists the fences
+// it removes — fences[skip] and the dropped ones — and watch the
+// watchable rest, bits[w] being the canonical bit of watch index w.
+func survivors(fences []ir.Label, dropped []bool, skip int) (gone, watch []ir.Label, bits []int) {
+	for j, l := range fences {
+		switch {
+		case j == skip || dropped[j]:
+			gone = append(gone, l)
+		case watchable(j):
+			watch = append(watch, l)
+			bits = append(bits, j)
+		}
 	}
-	return seeds
+	return gone, watch, bits
 }
 
-// trialCompile is a candidate program compiled for one trial: bits[w] is
-// the canonical bit of watch index w. watched is false when the watch
-// mapping is incomplete (an insertion-site collision skipped a fence), in
-// which case the trial runs the whole seed block and records no baseline.
-type trialCompile struct {
-	c       *interp.Compiled
-	bits    []int
-	watched bool
-}
-
-// trial reports whether dropping canonical fence bit from the current set
-// exposes a violation. compile builds the candidate and is called only
-// when some seed must run. A violated trial leaves the baseline untouched
-// (its partial results describe a program that is not becoming the kept
-// set). A clean trial ran every must-run seed, the drop succeeds, and the
-// candidate becomes the new kept set — so the trial's own watched results
-// refresh the baseline entries of the seeds that ran, while the
-// transferred seeds' entries stay valid verbatim (their executions are
-// bit-identical under the new set and their masks cannot contain the
-// dropped bit). This is what arms the cache without a dedicated baseline
-// pass in validation.
-func (fc *fenceTrialCache) trial(bit int, compile func() (trialCompile, error)) (violated bool, err error) {
-	seeds := fc.mustRun(bit)
+// trial reports whether removing fences[i] from prog, on top of the
+// fences already dropped, exposes a violation. The candidate — a clone
+// of prog without those fences, verified and compiled watching its
+// watchable survivors — is built only when some seed must run. Labels
+// are stable across Clone, and removeFences leaves the other fences'
+// labels untouched, so the watch list names the survivors directly.
+//
+// A violated trial leaves the baseline untouched (its partial results
+// describe a program that is not becoming the kept set). A clean trial
+// ran every must-run seed, the drop succeeds, and the candidate becomes
+// the new kept set — so the trial's own watched results refresh the
+// baseline entries of the seeds that ran, while the transferred seeds'
+// entries stay valid verbatim (their executions are bit-identical under
+// the new set and their masks cannot contain the dropped bit). This is
+// what arms the cache without a dedicated baseline pass in validation.
+func (fc *fenceTrialCache) trial(prog *ir.Program, fences []ir.Label, dropped []bool, i int) (violated bool, err error) {
+	seeds := fc.mustRun(i)
+	fc.skipped += len(fc.base) - len(seeds)
 	if len(seeds) == 0 {
-		fc.skipped += len(fc.base)
 		return false, nil
 	}
-	tc, err := compile()
+	cand := prog.Clone()
+	gone, watch, bits := survivors(fences, dropped, i)
+	removeFences(cand, gone)
+	if err := staticanalysis.Verify(cand); err != nil {
+		return false, fmt.Errorf("core: program failed verification after fence removal: %w", err)
+	}
+	c, err := interp.CompileWatched(cand, watch)
 	if err != nil {
 		return false, err
 	}
-	if !tc.watched {
-		seeds = fc.everySeed()
-	}
-	fc.skipped += len(fc.base) - len(seeds)
-	out := watchedBatch(tc.c, fc.cfg, fc.jcs, seeds, fc.optsFor, true)
+	out := watchedBatch(c, fc.cfg, fc.jcs, len(seeds), func(k int) sched.Options { return fc.optsFor(seeds[k]) }, true)
 	for _, o := range out {
 		if o.ran && o.violated {
 			return true, nil
 		}
 	}
 	for k, o := range out {
-		fc.base[seeds[k]] = baseEntry{known: tc.watched, touched: canonicalize(o.mask, tc.bits)}
+		fc.base[seeds[k]] = baseEntry{known: true, touched: canonicalize(o.mask, bits)}
 	}
 	return false, nil
+}
+
+// dropRedundant is the greedy loop validation and the redundancy scan
+// share. fences label fence instructions of prog, each identified by its
+// index (its canonical bit). They are tried newest-first — later rounds
+// react to rarer violations and are the likelier over-fit — and a fence
+// whose removal, together with the fences already dropped, exposes no
+// violation over fc's seed block is dropped; dropped[i] reports it.
+func dropRedundant(prog *ir.Program, fences []ir.Label, fc *fenceTrialCache) ([]bool, error) {
+	dropped := make([]bool, len(fences))
+	for i := len(fences) - 1; i >= 0; i-- {
+		violated, err := fc.trial(prog, fences, dropped, i)
+		if err != nil {
+			return nil, err
+		}
+		dropped[i] = !violated
+	}
+	return dropped, nil
 }
 
 // validateFences greedily removes synthesized fences whose absence no
@@ -365,64 +387,32 @@ func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCa
 	fc := newFenceTrialCache(cfg, jcs, cfg.ValidateExecs, func(i int) sched.Options {
 		return trialOpts(cfg, seedBase, i)
 	})
-	// kept[j] pairs each surviving fence with its canonical bit (index in
-	// the original Fences list).
-	type keptFence struct {
-		f   synth.InsertedFence
-		bit int
-	}
-	kept := make([]keptFence, len(result.Fences))
+	labels := make([]ir.Label, len(result.Fences))
 	for i, f := range result.Fences {
-		kept[i] = keptFence{f: f, bit: i}
+		labels[i] = f.Label
 	}
-	fences := func(ks []keptFence) []synth.InsertedFence {
-		ins := make([]synth.InsertedFence, len(ks))
-		for j, k := range ks {
-			ins[j] = k.f
-		}
-		return ins
+	dropped, err := dropRedundant(result.Program, labels, fc)
+	if err != nil {
+		return err
 	}
-
-	// Try dropping fences newest-first: later rounds react to rarer
-	// violations and are the likelier over-fit.
-	for i := len(kept) - 1; i >= 0; i-- {
-		candidate := append(append([]keptFence(nil), kept[:i]...), kept[i+1:]...)
-		violated, err := fc.trial(kept[i].bit, func() (trialCompile, error) {
-			p := orig.Clone()
-			final, err := synth.InsertFences(p, fences(candidate))
-			if err != nil {
-				return trialCompile{}, err
-			}
-			tc := trialCompile{watched: len(final) == len(candidate)}
-			var watch []ir.Label
-			if tc.watched {
-				for j, f := range final {
-					if watchable(candidate[j].bit) {
-						watch = append(watch, f.Label)
-						tc.bits = append(tc.bits, candidate[j].bit)
-					}
-				}
-			}
-			tc.c, err = interp.CompileWatched(p, watch)
-			return tc, err
-		})
-		if err != nil {
-			return err
+	for i := len(result.Fences) - 1; i >= 0; i-- {
+		if dropped[i] {
+			result.Redundant++
+			telemetry.Emit(cfg.sink, telemetry.FenceChange{
+				Action: "drop-redundant",
+				Fences: telemetry.FencesOf(result.Fences[i : i+1]),
+			})
 		}
-		if violated {
-			continue // a violation needs this fence: keep it
+	}
+	var kept []synth.InsertedFence
+	for i, f := range result.Fences {
+		if !dropped[i] {
+			kept = append(kept, f)
 		}
-		dropped := kept[i].f
-		kept = candidate
-		result.Redundant++
-		telemetry.Emit(cfg.sink, telemetry.FenceChange{
-			Action: "drop-redundant",
-			Fences: telemetry.FencesOf([]synth.InsertedFence{dropped}),
-		})
 	}
 
 	p := orig.Clone()
-	final, err := synth.InsertFences(p, fences(kept))
+	final, err := synth.InsertFences(p, kept)
 	if err != nil {
 		return err
 	}
@@ -433,62 +423,35 @@ func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCa
 	return nil
 }
 
-// findRedundant is FindRedundantFences' greedy loop: fences are tried
-// newest-first, each trial runs over the same seed block, and provably
-// unchanged executions are answered from the baseline.
+// findRedundant is FindRedundantFences' pass: after a cleanliness check
+// of the program with every fence present, which also arms the baseline,
+// it runs the greedy loop over prog's fences and returns the dropped
+// ones, newest first.
 func findRedundant(prog *ir.Program, cfg *Config, jcs []judgeCache, execsPerFence int) ([]ir.Label, error) {
-	kept := prog.Fences()
+	fences := prog.Fences()
 	fc := newFenceTrialCache(cfg, jcs, execsPerFence, func(i int) sched.Options {
 		return trialOpts(cfg, cfg.Seed, i)
 	})
-	// watchSurvivors returns the watchable fences of kept other than skip
-	// and those already redundant, with their canonical bits.
-	isRedundant := make([]bool, len(kept))
-	watchSurvivors := func(skip int) (watch []ir.Label, bits []int) {
-		for j, l := range kept {
-			if j != skip && !isRedundant[j] && watchable(j) {
-				watch = append(watch, l)
-				bits = append(bits, j)
-			}
-		}
-		return watch, bits
-	}
-
-	// The all-fences baseline doubles as the initial cleanliness check.
-	watch, bits := watchSurvivors(-1)
-	baseC, err := interp.CompileWatched(prog, watch)
+	_, watch, bits := survivors(fences, make([]bool, len(fences)), -1)
+	c, err := interp.CompileWatched(prog, watch)
 	if err != nil {
 		return nil, err
 	}
-	out := watchedBatch(baseC, cfg, jcs, fc.everySeed(), fc.optsFor, false)
-	for k, o := range out {
+	for k, o := range watchedBatch(c, cfg, jcs, len(fc.base), fc.optsFor, false) {
 		if o.violated {
 			return nil, errors.New("core: program violates its specification even with all fences present")
 		}
 		fc.base[k] = baseEntry{known: true, touched: canonicalize(o.mask, bits)}
 	}
 
+	dropped, err := dropRedundant(prog, fences, fc)
+	if err != nil {
+		return nil, err
+	}
 	var redundant []ir.Label
-	for i := len(kept) - 1; i >= 0; i-- {
-		// Try without fence i (and without those already found redundant).
-		trial := prog.Clone()
-		removeFences(trial, append(append([]ir.Label(nil), redundant...), kept[i]))
-		if err := staticanalysis.Verify(trial); err != nil {
-			return nil, fmt.Errorf("core: program failed verification after fence removal: %w", err)
-		}
-		violated, err := fc.trial(i, func() (trialCompile, error) {
-			// Labels are stable across Clone, and removeFences leaves other
-			// fences' labels untouched.
-			watch, bits := watchSurvivors(i)
-			c, err := interp.CompileWatched(trial, watch)
-			return trialCompile{c: c, bits: bits, watched: true}, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !violated {
-			redundant = append(redundant, kept[i])
-			isRedundant[i] = true
+	for i := len(fences) - 1; i >= 0; i-- {
+		if dropped[i] {
+			redundant = append(redundant, fences[i])
 		}
 	}
 	return redundant, nil

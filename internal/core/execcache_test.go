@@ -1,64 +1,72 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 
 	"dfence/internal/ir"
-	"dfence/internal/lang"
 	"dfence/internal/memmodel"
-	"dfence/internal/spec"
+	"dfence/internal/progs"
 	"dfence/internal/synth"
 )
 
-// TestValidateFencesInsertionCollision: three copies of the same fence
-// collide at their insertion site, so a candidate keeping two of them
-// inserts only one and its watch mapping is incomplete. Such trials run
-// the whole seed block; validation must still keep exactly the one needed
-// fence, identically at every worker count.
-func TestValidateFencesInsertionCollision(t *testing.T) {
-	src := strings.Replace(overFencedMP, "fence();       // redundant: nothing buffered yet", "", 1)
-	src = strings.Replace(src, "fence_ss();    // required: orders data before flag on PSO", "", 1)
-	src = strings.Replace(src, "fence_sl();    // redundant: loads are never delayed", "", 1)
-	prog, err := lang.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(prog.Fences()); n != 0 {
-		t.Fatalf("program carries %d fences, want none", n)
-	}
-	f := prog.Funcs["producer"]
-	var dataStore ir.Label
-	for i := range f.Code {
-		if f.Code[i].Op == ir.OpStore {
-			dataStore = f.Code[i].Label
-			break
+// TestFenceRemovalMatchesReinsertion pins the equivalence that lets
+// validation build its trials by removing fences from the fenced program:
+// for every corpus cell and every synthesized fence, the fenced program
+// without that fence is the original program with the other fences
+// re-inserted, instruction for instruction, up to fence labels.
+func TestFenceRemovalMatchesReinsertion(t *testing.T) {
+	drops := 0
+	for _, b := range progs.All() {
+		for _, model := range []memmodel.Model{memmodel.TSO, memmodel.PSO, memmodel.RMO} {
+			cfg := goldenConfig(b, model)
+			cfg.ValidateFences = false
+			orig := b.Program()
+			res, err := Synthesize(orig, cfg)
+			if err != nil {
+				t.Fatalf("%s %v: %v", b.Name, model, err)
+			}
+			for i, f := range res.Fences {
+				removed := res.Program.Clone()
+				removeFences(removed, []ir.Label{f.Label})
+				others := append(append([]synth.InsertedFence(nil), res.Fences[:i]...), res.Fences[i+1:]...)
+				reinserted := orig.Clone()
+				if _, err := synth.InsertFences(reinserted, others); err != nil {
+					t.Fatalf("%s %v: %v", b.Name, model, err)
+				}
+				if d := codeDiff(removed, reinserted); d != "" {
+					t.Errorf("%s %v without %s: %s", b.Name, model, f, d)
+				}
+				drops++
+			}
 		}
 	}
-	need := synth.InsertedFence{After: dataStore, Kind: ir.FenceStoreStore, Func: f.Name}
-	var got []string
-	for _, workers := range []int{1, 4} {
-		cfg := Config{
-			Model:         memmodel.PSO,
-			Criterion:     spec.MemorySafety,
-			ExecsPerRound: 100,
-			ValidateExecs: 200,
-			Seed:          3,
-			Workers:       workers,
-		}
-		cfg.fill()
-		result := &Result{Fences: []synth.InsertedFence{need, need, need}}
-		if err := validateFences(prog, &cfg, result, newJudgeCaches(&cfg)); err != nil {
-			t.Fatal(err)
-		}
-		if result.Redundant != 2 || len(result.Fences) != 1 || result.Fences[0].After != dataStore {
-			t.Fatalf("workers=%d: kept %v with %d redundant, want the one st-st fence after L%d",
-				workers, result.Fences, result.Redundant, dataStore)
-		}
-		got = append(got, fmt.Sprint(result.Fences))
+	if drops == 0 {
+		t.Fatal("no cell synthesized a fence")
 	}
-	if got[0] != got[1] {
-		t.Fatalf("validation diverged across worker counts: %s vs %s", got[0], got[1])
+	t.Logf("%d fence drops compared", drops)
+}
+
+// codeDiff describes the first difference between the code of a and b,
+// comparing every instruction field except a fence's label; "" if none.
+func codeDiff(a, b *ir.Program) string {
+	if !reflect.DeepEqual(a.FuncNames(), b.FuncNames()) {
+		return "function sets differ"
 	}
+	for _, name := range a.FuncNames() {
+		ca, cb := a.Funcs[name].Code, b.Funcs[name].Code
+		if len(ca) != len(cb) {
+			return name + ": code lengths differ"
+		}
+		for j := range ca {
+			x, y := ca[j], cb[j]
+			if x.Op == ir.OpFence && y.Op == ir.OpFence {
+				x.Label, y.Label = 0, 0
+			}
+			if !reflect.DeepEqual(x, y) {
+				return name + ": " + x.String() + " vs " + y.String()
+			}
+		}
+	}
+	return ""
 }

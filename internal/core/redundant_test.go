@@ -167,6 +167,31 @@ func TestRemoveFencesTrailingFenceBranchTarget(t *testing.T) {
 	}
 }
 
+// TestRemoveFencesRetargetsBranches: branches to a removed fence, taken
+// and fall-through targets alike, land on its successor.
+func TestRemoveFencesRetargetsBranches(t *testing.T) {
+	p := ir.NewProgram()
+	l0, l1, l2, l3, l4 := p.NewLabel(), p.NewLabel(), p.NewLabel(), p.NewLabel(), p.NewLabel()
+	f := &ir.Func{Name: "main", NumRegs: 1, Code: []ir.Instr{
+		{Label: l0, Op: ir.OpConst, Dst: 0, Imm: 1},
+		{Label: l1, Op: ir.OpCondBr, A: 0, Target: l3, Target2: l3},
+		{Label: l2, Op: ir.OpBr, Target: l3},
+		{Label: l3, Op: ir.OpFence, Kind: ir.FenceFull},
+		{Label: l4, Op: ir.OpRet},
+	}}
+	if err := p.AddFunc(f); err != nil {
+		t.Fatal(err)
+	}
+
+	removeFences(p, []ir.Label{l3})
+	if f.IndexOf(l3) >= 0 {
+		t.Fatal("branch-targeted fence was not removed")
+	}
+	if br, cb := f.Code[2], f.Code[1]; br.Target != l4 || cb.Target != l4 || cb.Target2 != l4 {
+		t.Fatalf("branches target L%d, L%d/L%d after removal, want L%d", br.Target, cb.Target, cb.Target2, l4)
+	}
+}
+
 // TestFindRedundantFencesOverFencedChaseLev: take the fence-free SPSC-style
 // program from core_test, insert the one required fence plus a gratuitous
 // one, and check that exactly the gratuitous fence is reported.

@@ -195,30 +195,3 @@ func runRound(ctx context.Context, work *ir.Program, cfg *Config, jcs []judgeCac
 	return sched.RunBatch(ctx, work, cfg.Model, cfg.ExecsPerRound, cfg.Workers,
 		newObs, func(i int) sched.Options { return roundOpts(cfg, round, i) }, reduce)
 }
-
-// violationBatch runs n executions of prog (options supplied per index)
-// and counts violations; the count is exact and deterministic for every
-// worker count. Panicked and inconclusive executions count as
-// non-violating.
-func violationBatch(prog *ir.Program, cfg *Config, jcs []judgeCache, n int, optsFor func(i int) sched.Options) (violations int) {
-	slots := sched.RunBatch(context.Background(), prog, cfg.Model, n, cfg.Workers, nil, optsFor,
-		func(i, worker int, _ interp.Observer, res *interp.Result, err *sched.ExecError) (bool, bool) {
-			cfg.mv.Executions.Inc(worker)
-			if err != nil {
-				cfg.mv.Panics.Inc(worker)
-				return false, false
-			}
-			v := judgeWorker(cfg, jcs, worker, res) == verdictViolation
-			if v {
-				cfg.mv.Violations.Inc(worker)
-				cfg.Tracer.Instant(worker+1, trace.InstantViolation, 0, 0)
-			}
-			return v, false
-		})
-	for _, v := range slots {
-		if v {
-			violations++
-		}
-	}
-	return violations
-}

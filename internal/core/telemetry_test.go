@@ -298,7 +298,7 @@ func TestMetricsFoldMatchesJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := goldenConfig(b, c.model)
-		cfg.Workers, cfg.MergeFences = 2, true
+		cfg.Workers = 2
 		var buf strings.Builder
 		j := telemetry.NewJournal(&buf)
 		cfg.Sink, cfg.Metrics = j, met
@@ -347,8 +347,6 @@ func TestMetricsFoldMatchesJournal(t *testing.T) {
 				j.FencesInserted += len(ev.Fences)
 			case "drop-redundant":
 				j.FencesRemoved += len(ev.Fences)
-			case "merge":
-				j.FencesRemoved += ev.Count
 			}
 		case telemetry.Converged:
 			j.Outcome = ev.Outcome

@@ -185,7 +185,7 @@ func foldOnce(f *Func) int {
 // dceOnce removes pure instructions whose results are never read.
 // Instructions with side effects (memory, control, calls, fences, I/O)
 // are always kept. Branch targets are retargeted to the removed
-// instruction's successor, like the fence-merge pass.
+// instruction's successor, as fence removal does.
 func dceOnce(f *Func) int {
 	used := make([]bool, f.NumRegs)
 	mark := func(r Reg) {

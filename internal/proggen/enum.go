@@ -17,8 +17,8 @@ package proggen
 // machine copies and transitions, which is what keeps litmus-sized
 // programs (a few thousand states) enumerable in milliseconds. A state
 // visit costs a key encode and a table probe: the working machine, the
-// snapshots, the stacks and the table are pooled across Enumerate calls
-// (enumPool), so a warmed-up walk allocates for the compiled program, the
+// snapshots, the stacks and the table are reused across Enumerate calls
+// (enumFree), so a warmed-up walk allocates for the compiled program, the
 // result and the violations and new outcomes it records, not per state.
 //
 // Three reductions keep the walk small without losing outcomes:
@@ -234,12 +234,11 @@ func violationString(v *interp.Violation) string {
 // branching state on the path keeps its own below it. pathIdx lists the
 // visit indices of the states on the DFS path, and onPath marks them.
 //
-// An enumerator outlives its call: enumPool hands its storage — the
+// An enumerator outlives its call: enumFree hands its storage — the
 // machines with their buffer queues, the stacks and the table — to the
 // next Enumerate, and start resets every field a walk reads. Only the
-// machines' state refers to the last walk's compiled program: the next
-// walk overwrites it, and the pool frees an idle enumerator at a
-// garbage collection.
+// machines' state refers to the last walk's compiled program, which the
+// next walk overwrites. An idle enumerator survives garbage collections.
 type enumerator struct {
 	opts    EnumOptions
 	cur     *interp.Machine
@@ -257,13 +256,39 @@ type enumerator struct {
 	onPath  []bool
 }
 
-// enumPool recycles enumerators across Enumerate calls.
-var enumPool = sync.Pool{New: func() any { return newEnumerator() }}
+// enumFree is the free list of idle enumerators. Unlike a sync.Pool it
+// keeps them across garbage collections, so a campaign that allocates
+// between two enumerations does not regrow their storage from empty. It
+// holds at most one enumerator per concurrent Enumerate caller.
+var enumFree struct {
+	mu   sync.Mutex
+	list []*enumerator
+}
+
+// getEnumerator takes an idle enumerator off the free list, or makes one.
+func getEnumerator() *enumerator {
+	enumFree.mu.Lock()
+	defer enumFree.mu.Unlock()
+	n := len(enumFree.list)
+	if n == 0 {
+		return newEnumerator()
+	}
+	e := enumFree.list[n-1]
+	enumFree.list = enumFree.list[:n-1]
+	return e
+}
+
+// putEnumerator returns an idle enumerator to the free list.
+func putEnumerator(e *enumerator) {
+	enumFree.mu.Lock()
+	enumFree.list = append(enumFree.list, e)
+	enumFree.mu.Unlock()
+}
 
 // newEnumerator returns an enumerator with no storage yet.
 func newEnumerator() *enumerator { return &enumerator{cur: &interp.Machine{}} }
 
-// start readies a pooled enumerator for a walk of c under model.
+// start readies a reused enumerator for a walk of c under model.
 func (e *enumerator) start(c *interp.Compiled, model memmodel.Model, opts EnumOptions) {
 	e.opts = opts
 	e.chs, e.path = e.chs[:0], e.path[:0]
@@ -298,8 +323,8 @@ func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumRe
 // enumerate is Enumerate of an already compiled program, so a caller
 // enumerating one program under several models compiles it once.
 func enumerate(c *interp.Compiled, model memmodel.Model, opts EnumOptions) *EnumResult {
-	e := enumPool.Get().(*enumerator)
-	defer enumPool.Put(e)
+	e := getEnumerator()
+	defer putEnumerator(e)
 	return e.walk(c, model, opts)
 }
 

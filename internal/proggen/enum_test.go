@@ -2,6 +2,7 @@ package proggen
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -178,9 +179,39 @@ func TestEnumeratorReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestEnumeratorSurvivesGC: an idle enumerator stays on the free list
+// across garbage collections, so the next Enumerate reuses its storage
+// instead of regrowing it from empty.
+func TestEnumeratorSurvivesGC(t *testing.T) {
+	test, err := litmus.ByName("SB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := test.Program()
+	idle := func() *enumerator {
+		enumFree.mu.Lock()
+		defer enumFree.mu.Unlock()
+		if len(enumFree.list) == 0 {
+			return nil
+		}
+		return enumFree.list[len(enumFree.list)-1]
+	}
+	Enumerate(prog, memmodel.TSO, EnumOptions{})
+	first := idle()
+	if first == nil {
+		t.Fatal("Enumerate left no idle enumerator")
+	}
+	runtime.GC()
+	runtime.GC()
+	Enumerate(prog, memmodel.TSO, EnumOptions{})
+	if got := idle(); got != first {
+		t.Errorf("Enumerate after two collections used enumerator %p, want the idle %p", got, first)
+	}
+}
+
 // TestEnumerateConcurrent runs Enumerate from two goroutines at once, as
 // the fuzz campaigns of a parallel benchmark do: with the enumerators
-// shared through a pool, each result must still equal a fresh
+// shared through the free list, each result must still equal a fresh
 // enumerator's. Run it under -race.
 func TestEnumerateConcurrent(t *testing.T) {
 	var cells []reuseCell

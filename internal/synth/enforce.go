@@ -9,9 +9,9 @@ import (
 	"dfence/internal/staticanalysis"
 )
 
-// verifyMutation re-verifies a program after a fence mutation. Every
-// insertion and removal path funnels through it so a synthesis step can
-// never hand a corrupted program to the next round.
+// verifyMutation re-verifies a program after a fence insertion. Every
+// insertion path funnels through it so a synthesis step can never hand a
+// corrupted program to the next round.
 func verifyMutation(prog *ir.Program, what string) error {
 	if err := staticanalysis.Verify(prog); err != nil {
 		return fmt.Errorf("synth: program failed verification after %s: %w", what, err)
@@ -175,7 +175,9 @@ func Enforce(prog *ir.Program, model memmodel.Model, preds []Predicate) ([]Inser
 
 // InsertFences re-applies previously computed fences onto a fresh clone of
 // the base program (each InsertedFence.After is a base-program label, which
-// clones share). Used by the validation pass to try fence subsets.
+// clones share). Used to resume a journaled run, to rebuild a round's
+// program for `dfence explain`, and to rebuild the validated result from
+// the kept fences.
 func InsertFences(prog *ir.Program, fences []InsertedFence) ([]InsertedFence, error) {
 	out := make([]InsertedFence, 0, len(fences))
 	for _, f := range fences {
@@ -197,173 +199,4 @@ func InsertFences(prog *ir.Program, fences []InsertedFence) ([]InsertedFence, er
 		return nil, err
 	}
 	return out, nil
-}
-
-// pairMask is a set of (class, class) ordering pairs, one bit per pair.
-type pairMask uint8
-
-func pairMaskBit(a, b ir.AccessClass) pairMask { return 1 << (uint(a)*2 + uint(b)) }
-
-// runtimePairs returns the fence kind's operational guarantee as a pair
-// set. DrainsStores is equivalent to the (st, ld) bit (every draining
-// kind orders store-load at runtime and vice versa), so the mask captures
-// the CAS-ordering property too.
-func runtimePairs(k ir.FenceKind) pairMask {
-	var m pairMask
-	for _, a := range ir.AccessClasses() {
-		for _, b := range ir.AccessClasses() {
-			if k.OrdersAtRuntime(a, b) {
-				m |= pairMaskBit(a, b)
-			}
-		}
-	}
-	return m
-}
-
-// maskRowSt / maskRowLd select the pairs invalidated by a new shared
-// store (pending store-class entry) or shared load (pending deferred
-// load) respectively.
-var (
-	maskRowSt = pairMaskBit(ir.ClassStore, ir.ClassLoad) | pairMaskBit(ir.ClassStore, ir.ClassStore)
-	maskRowLd = pairMaskBit(ir.ClassLoad, ir.ClassLoad) | pairMaskBit(ir.ClassLoad, ir.ClassStore)
-)
-
-// MergeFences implements the paper's fence-combining optimization: "a
-// simple static analysis which eliminates a fence if it can prove that it
-// always follows a previous fence statement in program order, with no
-// store statements on shared variables occurring in between" — lifted to
-// the full fence vocabulary.
-//
-// It runs a forward dataflow per function over the CFG whose state is the
-// set of class pairs (a, b) certainly ordered on every incoming path: a
-// fence whose runtime coverage includes (a, b) has executed with no
-// class-a shared access after it (meet = intersection, entry = empty). A
-// fence whose runtime coverage is contained in its entry state guarantees
-// nothing new and is removed. Removal is order-insensitive: a removable
-// fence's transfer is the identity on the fixpoint state, so deleting it
-// never weakens the protection of a later fence. Returns the number of
-// fences removed.
-func MergeFences(prog *ir.Program) (int, error) {
-	removed := 0
-	for _, name := range prog.FuncNames() {
-		removed += mergeFunc(prog.Funcs[name])
-	}
-	if removed > 0 {
-		if err := verifyMutation(prog, "fence removal (MergeFences)"); err != nil {
-			return removed, err
-		}
-	}
-	return removed, nil
-}
-
-func mergeFunc(f *ir.Func) int {
-	n := len(f.Code)
-	// protectedIn[i]: pairs ordered on every path reaching instruction i.
-	// Initialized to empty and grown to the least fixpoint — conservative
-	// (loop heads stay unprotected), which only suppresses removals.
-	protectedIn := make([]pairMask, n)
-	preds := predecessors(f)
-
-	changed := true
-	for changed {
-		changed = false
-		for i := 0; i < n; i++ {
-			var in pairMask
-			if ps := preds[i]; len(ps) == 0 {
-				in = 0 // function entry (or unreachable): conservative
-			} else {
-				in = ^pairMask(0)
-				for _, p := range ps {
-					in &= transfer(&f.Code[p], protectedIn[p])
-				}
-			}
-			if in != protectedIn[i] {
-				protectedIn[i] = in
-				changed = true
-			}
-		}
-	}
-
-	// Remove redundant fences (back to front so indices stay valid). A
-	// fence that is itself a branch target is removable too: branches to it
-	// are retargeted to its successor (a fence is never a terminator, so a
-	// successor always exists).
-	removed := 0
-	for i := n - 1; i >= 0; i-- {
-		if f.Code[i].Op != ir.OpFence {
-			continue
-		}
-		if m := runtimePairs(f.Code[i].Kind); m&^protectedIn[i] != 0 {
-			continue
-		}
-		dead := f.Code[i].Label
-		succ := f.Code[i+1].Label
-		for j := range f.Code {
-			in := &f.Code[j]
-			if in.Op != ir.OpBr && in.Op != ir.OpCondBr {
-				continue
-			}
-			if in.Target == dead {
-				in.Target = succ
-			}
-			if in.Op == ir.OpCondBr && in.Target2 == dead {
-				in.Target2 = succ
-			}
-		}
-		f.Code = append(f.Code[:i], f.Code[i+1:]...)
-		removed++
-	}
-	if removed > 0 {
-		f.Rebuild()
-	}
-	return removed
-}
-
-// transfer computes the protected pair set after executing instruction in
-// with the given entry state.
-func transfer(in *ir.Instr, protected pairMask) pairMask {
-	switch in.Op {
-	case ir.OpFence:
-		return protected | runtimePairs(in.Kind)
-	case ir.OpCas:
-		// CAS drains the relevant buffer but under PSO only that address's
-		// buffer, and its write bypasses the buffers entirely.
-		// Conservatively unprotect everything.
-		return 0
-	case ir.OpStore:
-		return protected &^ maskRowSt
-	case ir.OpLoad:
-		return protected &^ maskRowLd
-	case ir.OpCall, ir.OpFork:
-		// The callee may access shared memory; conservative.
-		return 0
-	default:
-		return protected
-	}
-}
-
-// predecessors computes the CFG predecessor lists by instruction index.
-func predecessors(f *ir.Func) [][]int {
-	n := len(f.Code)
-	preds := make([][]int, n)
-	addEdge := func(from, to int) {
-		if to >= 0 && to < n {
-			preds[to] = append(preds[to], from)
-		}
-	}
-	for i := 0; i < n; i++ {
-		in := &f.Code[i]
-		switch in.Op {
-		case ir.OpBr:
-			addEdge(i, f.IndexOf(in.Target))
-		case ir.OpCondBr:
-			addEdge(i, f.IndexOf(in.Target))
-			addEdge(i, f.IndexOf(in.Target2))
-		case ir.OpRet:
-			// no successor
-		default:
-			addEdge(i, i+1)
-		}
-	}
-	return preds
 }

@@ -2,9 +2,8 @@
 // predicates, the instrumented-semantics collection of candidate repairs
 // for an execution (paper Semantics 2 / the avoid function), accumulation
 // of the global repair formula φ, computation of minimal satisfying
-// assignments via the SAT solver, enforcement of chosen predicates as
-// fences (Algorithm 2), and the static merge pass that removes redundant
-// fences (§5.2, Enforcing).
+// assignments via the SAT solver, and enforcement of chosen predicates as
+// fences (Algorithm 2).
 package synth
 
 import (

@@ -184,178 +184,6 @@ func TestEnforceUnknownLabel(t *testing.T) {
 	}
 }
 
-// --- merge pass ---
-
-func TestMergeRemovesBackToBackFences(t *testing.T) {
-	p := ir.NewProgram()
-	if err := p.AddGlobal(&ir.Global{Name: "x", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	b := ir.NewFuncBuilder(p, "main", 0)
-	xa := b.GlobalAddr("x")
-	one := b.Const(1)
-	b.Store(xa, one, "x")
-	b.Fence(ir.FenceStoreStore)
-	b.Fence(ir.FenceStoreStore) // redundant
-	v, _ := b.Load(xa, "x")
-	b.RetVal(v)
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Link(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MergeFences(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("merged %d fences, want 1", got)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("invalid after merge: %v", err)
-	}
-	if len(p.Fences()) != 1 {
-		t.Errorf("fences left = %d, want 1", len(p.Fences()))
-	}
-}
-
-func TestMergeKeepsFenceAfterStore(t *testing.T) {
-	p := ir.NewProgram()
-	if err := p.AddGlobal(&ir.Global{Name: "x", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	b := ir.NewFuncBuilder(p, "main", 0)
-	xa := b.GlobalAddr("x")
-	one := b.Const(1)
-	b.Fence(ir.FenceStoreStore)
-	b.Store(xa, one, "x") // invalidates protection
-	b.Fence(ir.FenceStoreStore)
-	b.Ret()
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Link(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MergeFences(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Fatalf("merged %d fences, want 0 (store between fences)", got)
-	}
-}
-
-func TestMergeDiamondBothPathsFenced(t *testing.T) {
-	// if (c) { fence } else { fence }; fence   → the join fence is
-	// redundant only if both branch paths end in a fence with no store
-	// after.
-	p := ir.NewProgram()
-	if err := p.AddGlobal(&ir.Global{Name: "x", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	b := ir.NewFuncBuilder(p, "main", 0)
-	c := b.Const(1)
-	taken, els := b.CondBrF(c)
-	taken.Here()
-	b.Fence(ir.FenceStoreStore)
-	join := b.BrF()
-	els.Here()
-	b.Fence(ir.FenceStoreStore)
-	join.Here()
-	b.Fence(ir.FenceStoreStore) // redundant: every predecessor is a fence
-	b.Ret()
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Link(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MergeFences(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("merged %d, want 1 (join fence dominated on both paths)", got)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("invalid after merge: %v", err)
-	}
-}
-
-func TestMergeDiamondOnePathUnfenced(t *testing.T) {
-	p := ir.NewProgram()
-	if err := p.AddGlobal(&ir.Global{Name: "x", Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	b := ir.NewFuncBuilder(p, "main", 0)
-	xa := b.GlobalAddr("x")
-	one := b.Const(1)
-	cnd := b.Const(1)
-	taken, els := b.CondBrF(cnd)
-	taken.Here()
-	b.Fence(ir.FenceStoreStore)
-	join := b.BrF()
-	els.Here()
-	b.Store(xa, one, "x") // this path has a trailing store
-	join.Here()
-	b.Fence(ir.FenceStoreStore) // must stay
-	b.Ret()
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Link(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MergeFences(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Fatalf("merged %d, want 0", got)
-	}
-}
-
-func TestMergeRetargetsBranchesToRemovedFence(t *testing.T) {
-	// A loop whose back edge targets a redundant fence: the fence is
-	// removed and the branch retargeted to its successor.
-	p := ir.NewProgram()
-	b := ir.NewFuncBuilder(p, "main", 0)
-	b.Fence(ir.FenceStoreStore)
-	head := b.NextLabel()
-	b.Fence(ir.FenceStoreStore) // branch target
-	i := b.Const(0)
-	one := b.Const(1)
-	b.BinTo(i, ir.BinAdd, i, one)
-	ten := b.Const(10)
-	c := b.BinOp(ir.BinLt, i, ten)
-	back, out := b.CondBrF(c)
-	back.Here()
-	b.Br(head)
-	out.Here()
-	b.Ret()
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Link(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MergeFences(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("merged %d fences, want 1 (loop-head fence dominated by entry fence)", got)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("merge broke branch targets: %v", err)
-	}
-	if len(p.Fences()) != 1 {
-		t.Errorf("fences left = %d, want 1", len(p.Fences()))
-	}
-}
-
 func TestPredicateString(t *testing.T) {
 	p := Predicate{L: 3, K: 7}
 	if p.String() != "[L3 ⊰ L7]" {

@@ -226,9 +226,8 @@ type SolverResult struct {
 func (SolverResult) Kind() string { return "SolverResult" }
 
 // FenceChange records fences entering or leaving the program.
-// Action is "insert" (end-of-round enforcement), "drop-redundant"
-// (post-convergence validation), or "merge" (static merge pass; Fences
-// empty, Count set).
+// Action is "insert" (end-of-round enforcement) or "drop-redundant"
+// (post-convergence validation, one event per dropped fence).
 type FenceChange struct {
 	Round  int     `json:"round,omitempty"` // 0 for post-convergence passes
 	Action string  `json:"action"`
@@ -297,7 +296,6 @@ type Converged struct {
 	TotalExecutions  int    `json:"total_executions"`
 	Fences           int    `json:"fences"`
 	Redundant        int    `json:"redundant,omitempty"`
-	MergedAway       int    `json:"merged_away,omitempty"`
 	CacheHits        int    `json:"cache_hits,omitempty"`
 	CacheMisses      int    `json:"cache_misses,omitempty"`
 	StaticallyRobust bool   `json:"statically_robust,omitempty"`

@@ -48,7 +48,7 @@ func allEvents() []Event {
 		},
 		Converged{
 			Outcome: "converged", Rounds: 2, TotalExecutions: 1000, Fences: 1,
-			Redundant: 1, MergedAway: 1, CacheHits: 900, CacheMisses: 100,
+			Redundant: 1, CacheHits: 900, CacheMisses: 100,
 			StaticallyRobust: false,
 		},
 	}

@@ -476,7 +476,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		SolverRestarts:     reg.NewCounter("dfence_solver_restarts", "CDCL search restarts during minimal-model enumeration"),
 		SolverClauses:      reg.NewCounter("dfence_solver_clauses", "clauses handed to the SAT solver"),
 		FencesInserted:     reg.NewCounter("dfence_fences_inserted", "fences enforced across rounds"),
-		FencesRemoved:      reg.NewCounter("dfence_fences_removed", "fences removed as redundant (validation + merge)"),
+		FencesRemoved:      reg.NewCounter("dfence_fences_removed", "fences removed as redundant by post-convergence validation"),
 		ExecSteps:          reg.NewHistogram("dfence_exec_steps", "interpreter transitions per execution", stepBounds),
 		RoundWallUS:        reg.NewHistogram("dfence_round_wall_us", "round execution batch plus formula merge (core.Round.Wall) in microseconds", wallBounds),
 		SolverWallUS:       reg.NewHistogram("dfence_solver_wall_us", "solver enumeration wall time in microseconds", wallBounds),
@@ -583,8 +583,6 @@ func (m *Metrics) Emit(e Event) {
 			m.FencesInserted.Add(0, int64(len(ev.Fences)))
 		case "drop-redundant":
 			m.FencesRemoved.Add(0, int64(len(ev.Fences)))
-		case "merge":
-			m.FencesRemoved.Add(0, int64(ev.Count))
 		}
 	case Converged:
 		m.run.mu.Lock()

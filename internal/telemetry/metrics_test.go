@@ -166,7 +166,6 @@ func TestMetricsEmitFold(t *testing.T) {
 	fence := Fence{After: 1, Label: 2, Kind: "fence(st-st)", Func: "f"}
 	m.Emit(FenceChange{Round: 1, Action: "insert", Fences: []Fence{fence, fence}})
 	m.Emit(FenceChange{Action: "drop-redundant", Fences: []Fence{fence}})
-	m.Emit(FenceChange{Action: "merge", Count: 3})
 	for i := 1; i <= maxRoundWallSamples+2; i++ {
 		m.Emit(RoundStart{Round: i})
 		m.Emit(SolverResult{Round: i, Models: 1, WallUS: int64(i)})
@@ -174,8 +173,8 @@ func TestMetricsEmitFold(t *testing.T) {
 	}
 	m.Emit(Converged{Outcome: "converged"})
 
-	if m.FencesInserted.Value() != 2 || m.FencesRemoved.Value() != 4 {
-		t.Errorf("fences inserted/removed = %d/%d, want 2/4", m.FencesInserted.Value(), m.FencesRemoved.Value())
+	if m.FencesInserted.Value() != 2 || m.FencesRemoved.Value() != 1 {
+		t.Errorf("fences inserted/removed = %d/%d, want 2/1", m.FencesInserted.Value(), m.FencesRemoved.Value())
 	}
 	run := m.Run()
 	n := maxRoundWallSamples + 2

@@ -71,7 +71,7 @@ func Summarize(d *Data) string {
 		switch ev.Ph {
 		case "X":
 			switch ev.Name {
-			case SpanCollect.String(), SpanSolve.String(), SpanValidate.String(), SpanMinimize.String():
+			case SpanCollect.String(), SpanSolve.String(), SpanValidate.String():
 				ps := phases[ev.Name]
 				if ps == nil {
 					ps = &phaseSum{}
@@ -107,7 +107,7 @@ func Summarize(d *Data) string {
 	}
 	if len(phases) > 0 {
 		b.WriteString("\nphase breakdown (coordinator wall):\n")
-		for _, name := range []string{SpanCollect.String(), SpanSolve.String(), SpanValidate.String(), SpanMinimize.String()} {
+		for _, name := range []string{SpanCollect.String(), SpanSolve.String(), SpanValidate.String()} {
 			ps := phases[name]
 			if ps == nil {
 				continue

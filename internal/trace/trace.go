@@ -1,6 +1,6 @@
 // Package trace is dfence's hierarchical span tracer: a timeline
 // recorder for the synthesis pipeline (service job → run → round →
-// phase {collect, solve, validate, minimize} → per-worker execution
+// phase {collect, solve, validate} → per-worker execution
 // lanes) with instant events for violations, checkpoints, cache hits,
 // and solver restarts. It exports Chrome trace-event JSON viewable in
 // Perfetto (export.go), re-reads its own files strictly (read.go), and
@@ -44,8 +44,6 @@ const (
 	SpanSolve
 	// SpanValidate is the post-convergence fence validation pass.
 	SpanValidate
-	// SpanMinimize is the post-convergence fence merge pass.
-	SpanMinimize
 	// SpanExec is one sampled execution on a worker lane.
 	SpanExec
 	// InstantViolation marks a violating execution (worker lane).
@@ -68,7 +66,6 @@ var nameStrings = [nameCount]string{
 	SpanCollect:           "collect",
 	SpanSolve:             "solve",
 	SpanValidate:          "validate",
-	SpanMinimize:          "minimize",
 	SpanExec:              "exec",
 	InstantViolation:      "violation",
 	InstantCheckpoint:     "checkpoint",
